@@ -37,7 +37,7 @@ class TableVIBench extends SparkSpec {
 
   test("M-H sampling phases beat the single-threaded baselines in aggregate") {
     // Tt comparisons on the tiniest graphs reduce to word2vec noise (both
-    // sides share MLlib; the paper's Tl gap is a Python-vs-C++ constant we
+    // sides share the learner; the paper's Tl gap is a Python-vs-C++ constant we
     // do not model — DESIGN.md §3). The engine claim is about Ti+Tw:
     // aggregate it over every combination the baseline can run.
     val comparable = rows.filter(_.open.result.nonEmpty)

@@ -59,6 +59,13 @@ final case class RunConfig(
   */
 object Pipeline {
 
+  /** Wall-clock share of lazy init that ran interleaved inside the walk
+    * job: the summed init nanos over the cores that ran the job's tasks,
+    * which is the partition count only when it does not exceed `cores`.
+    */
+  def lazyInitSeconds(initNanos: Long, partitions: Int, cores: Int): Double =
+    initNanos / 1e9 / math.max(1, math.min(partitions, cores))
+
   def run(
       spark: SparkSession,
       bcGraph: Broadcast[CSRGraph],
@@ -81,9 +88,8 @@ object Pipeline {
     val walkCount = walks.count()
     val walkWallSec = (System.nanoTime() - t1) / 1e9
 
-    // Lazy init ran interleaved inside the walk job on cfg.partitions
-    // cores; its wall-clock share is the summed nanos / parallelism.
-    val lazyInitSec = acc.initNanos.value / 1e9 / math.max(1, cfg.partitions)
+    val lazyInitSec = lazyInitSeconds(
+      acc.initNanos.value, cfg.partitions, spark.sparkContext.defaultParallelism)
     val tInit = prepSec + lazyInitSec
     val tWalk = math.max(0.0, walkWallSec - lazyInitSec)
 

@@ -12,7 +12,7 @@ import repro.sampler.MemoryModel
   *
   *  - "Open-sourced": the reference implementation's sampling method
   *    (alias-precompute-all for node2vec, direct for the rest), run
-  *    single-threaded with single-partition word2vec;
+  *    single-threaded with a single-threaded word2vec;
   *  - "UniNet (Orig)": the same sampling method inside the parallel
   *    UniNet engine;
   *  - "UniNet (M-H)": the M-H edge sampler with high-weight init.
@@ -112,12 +112,9 @@ object TableVI {
           // The two "billion-edge" stand-ins get a lighter walk workload
           // (the projection folds the difference back in).
           val (nw, wl) = if (isBig(ds)) (1, 10) else (numWalks, walkLen)
-          // MLlib word2vec pays per-partition overhead; small -lite corpora
-          // train fastest on few partitions (~250k tokens per partition).
-          val learnParts = math.max(1, math.min(8,
-            (cfg.numNodes.toLong * nw * wl / 250_000L).toInt))
           val mhRun = RunConfig(nw, wl, partitions = Experiments.Parallelism,
-                                seed = seed, learn = learn, learnPartitions = learnParts)
+                                seed = seed, learn = learn,
+                                learnPartitions = Runtime.getRuntime.availableProcessors())
           val mh = Experiments.runUnlessOOM(spark, bcG, cfg, model, Experiments.mhFactory, mhRun)
 
           // The learning phase is identical for both UniNet variants (the

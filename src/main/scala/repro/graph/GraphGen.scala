@@ -105,6 +105,23 @@ object GraphGen {
                       Array.tabulate[Byte](g.numNodes)(typeOf), numTypes)
   }
 
+  /** Planted-partition graph (stochastic block model): node v sits in
+    * block `v % blocks`; each node pair is joined with probability `pIn`
+    * when both share a block and `pOut` otherwise. Unit weights,
+    * deterministic in `seed`. Enumerates all pairs, so it is meant for
+    * graphs of a few thousand nodes.
+    */
+  def plantedPartition(numNodes: Int, blocks: Int, pIn: Double, pOut: Double,
+                       seed: Long): CSRGraph = {
+    val rng = new java.util.SplittableRandom(seed)
+    val us = Array.newBuilder[Int]; val vs = Array.newBuilder[Int]
+    for (u <- 0 until numNodes; v <- u + 1 until numNodes) {
+      if (rng.nextDouble() < (if (u % blocks == v % blocks) pIn else pOut)) { us += u; vs += v }
+    }
+    val (su, sv) = (us.result(), vs.result())
+    CSRGraph.fromUndirectedEdges(numNodes, su, sv, Array.fill(su.length)(1f))
+  }
+
   /** Small hand-buildable graph helper for tests: edges as (u, v, w). */
   def fromTriples(numNodes: Int, edges: Seq[(Int, Int, Double)],
                   types: Array[Byte] = null, numTypes: Int = 1): CSRGraph =

@@ -54,4 +54,13 @@ class PipelineSpec extends SparkSpec {
                                    parallelPrepare = false))
     assert(r.walkCount == g.numNodes)
   }
+
+  test("lazy-init share divides by the cores that ran it, not the partition count") {
+    val cores = spark.sparkContext.defaultParallelism
+    val initNanos = 8_000_000_000L
+    val share = Pipeline.lazyInitSeconds(initNanos, cores, cores)
+    assert(Pipeline.lazyInitSeconds(initNanos, math.max(16, cores), cores) == share)
+    assert(math.abs(share - 8.0 / cores) < 1e-12)
+    assert(Pipeline.lazyInitSeconds(initNanos, 1, cores) == 8.0)
+  }
 }

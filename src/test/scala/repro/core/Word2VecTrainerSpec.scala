@@ -4,7 +4,7 @@ import repro.{SparkSpec, TestGraphs}
 import repro.model.DeepWalk
 import repro.sampler.{HighWeightInit, MHSamplerFactory}
 
-/** Learning phase: MLlib word2vec over the walk corpus. */
+/** Learning phase: the int-native skip-gram trainer over the walk corpus. */
 class Word2VecTrainerSpec extends SparkSpec {
 
   private lazy val g = TestGraphs.mediumGraph(n = 60, mult = 3)
@@ -43,5 +43,28 @@ class Word2VecTrainerSpec extends SparkSpec {
     val b = Word2VecTrainer.train(corpus, dim = 8, numPartitions = 1, seed = 7L)
     assert(a.getVectors.view.mapValues(_.toSeq).toMap ==
            b.getVectors.view.mapValues(_.toSeq).toMap)
+  }
+
+  /** Node 7's walk is the node alone, as a stuck metapath walk is. */
+  private lazy val withStuckWalk =
+    spark.sparkContext.parallelize(Seq(Array(0, 1, 2, 1, 0), Array(7)), 2)
+
+  test("length-1 walks still give their node a finite vector of the configured dimension") {
+    val v = Word2VecTrainer.train(withStuckWalk, dim = 6, numPartitions = 2).getVectors("7")
+    assert(v.length == 6)
+    v.foreach(x => assert(!x.isNaN && !x.isInfinite))
+  }
+
+  test("node ids absent from the corpus get no vector") {
+    val model = Word2VecTrainer.train(withStuckWalk, dim = 6, numPartitions = 2)
+    assert(model.getVectors.keySet == Set("0", "1", "2", "7"))
+  }
+
+  test("more threads than cores trains and returns every seen node") {
+    val threads = 4 * Runtime.getRuntime.availableProcessors()
+    val model = Word2VecTrainer.train(corpus, dim = 8, numPartitions = threads)
+    val seen = corpus.flatMap(_.map(_.toString)).distinct().collect().toSet
+    assert(model.getVectors.keySet == seen)
+    model.getVectors.values.foreach(v => assert(v.length == 8 && v.forall(x => !x.isNaN)))
   }
 }

@@ -98,4 +98,17 @@ class GraphGenSpec extends SparkSpec {
     val g = GraphGen.buildCSR(spark, GraphGen.datasets("BlogCatalog"))
     assert(g.maxDegree > 5 * g.meanDegree, s"max=${g.maxDegree} mean=${g.meanDegree}")
   }
+
+  test("plantedPartition: deterministic, and edges follow the block probabilities") {
+    val g = GraphGen.plantedPartition(600, blocks = 3, pIn = 0.05, pOut = 0.005, seed = 9L)
+    val again = GraphGen.plantedPartition(600, blocks = 3, pIn = 0.05, pOut = 0.005, seed = 9L)
+    assert(g.neighbors.sameElements(again.neighbors) && g.offsets.sameElements(again.offsets))
+    val inBlock = (0 until g.numNodes).map { v =>
+      (g.offset(v) until g.offset(v + 1)).count(e => g.dst(e) % 3 == v % 3)
+    }.sum
+    // Per node: 199 same-block candidates at 0.05, 400 others at 0.005.
+    val (expIn, expOut) = (199 * 0.05 * 600, 400 * 0.005 * 600)
+    assert(math.abs(inBlock - expIn) < 0.1 * expIn)
+    assert(math.abs(g.numDirectedEdges - inBlock - expOut) < 0.2 * expOut)
+  }
 }
