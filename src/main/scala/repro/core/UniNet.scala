@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.SplittableRandom
 
+import org.apache.spark.TaskContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
@@ -11,7 +12,7 @@ import repro.graph.CSRGraph
 import repro.sampler.{EdgeSampler, MHSampler, SamplerFactory}
 
 /** Aggregated sampling counters for one walk-generation job, flushed from
-  * each partition's [[repro.sampler.LocalStats]] when it completes.
+  * each partition's [[repro.sampler.LocalStats]] when its task completes.
   */
 final class WalkAccumulators(@transient spark: SparkSession) extends Serializable {
   // Note: only the accumulators may become fields — a captured
@@ -23,6 +24,12 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   val fallbacks: LongAccumulator = spark.sparkContext.longAccumulator("fallbacks")
   val initNanos: LongAccumulator = spark.sparkContext.longAccumulator("initNanos")
   val initCount: LongAccumulator = spark.sparkContext.longAccumulator("initCount")
+  /** Partition-local sampler bytes the job allocated: lazy alias caches,
+    * plus the LAST_x slots M-H managers newly allocated. Managers are
+    * recycled across tasks, so per JVM this is at most min(partitions,
+    * cores) managers' worth; a factory reused across jobs reports only
+    * the growth of its pooled managers.
+    */
   val localBytes: LongAccumulator = spark.sparkContext.longAccumulator("localBytes")
 
   /** Fraction of proposal trials accepted (rejection-style samplers) or
@@ -30,6 +37,20 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
     */
   def acceptanceRatio: Double =
     if (trials.value == 0) Double.NaN else accepts.value.toDouble / trials.value
+
+  /** Adds one task's counters; call before the sampler is released. */
+  private[core] def flush(sampler: EdgeSampler): Unit = {
+    val st = sampler.stats
+    steps.add(st.steps); trials.add(st.trials)
+    accepts.add(st.accepts); preAccepts.add(st.preAccepts)
+    fallbacks.add(st.fallbacks)
+    initNanos.add(st.initNanos); initCount.add(st.initCount)
+    val mgrBytes = sampler match {
+      case m: MHSampler => m.manager.reportNewBytes()
+      case _            => 0L
+    }
+    localBytes.add(st.lazyBytes + mgrBytes)
+  }
 }
 
 /** The UniNet walk engine (paper Alg. 2) on Spark.
@@ -40,7 +61,9 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   * already-prepared) factory — sampler state such as LAST_x or lazy alias
   * caches is partition-local, mirroring the paper's per-thread walkers:
   * the per-state Markov chains of different partitions are independent,
-  * which preserves the M-H convergence argument.
+  * which preserves the M-H convergence argument. The sampler goes back to
+  * the factory when its task completes; M-H recycles the LAST_x storage,
+  * reset, for the executor's next task.
   */
 object UniNet {
 
@@ -106,31 +129,16 @@ object UniNet {
       .range(0L, n.toLong * numWalks, 1L, numPartitions)
       .mapPartitionsWithIndex { (pid, it) =>
         val g = bcGraph.value
-        val sampler = bcFactory.value.create(g, model)
-        val rng = new SplittableRandom(seed * 1000003L + pid)
-        val inner = it.map(i => runWalk(g, model, sampler, (i % n).toInt, walkLen, rng))
-        // Flush partition-local counters exactly once, when exhausted.
-        new Iterator[Array[Int]] {
-          private var flushed = false
-          override def hasNext: Boolean = {
-            val h = inner.hasNext
-            if (!h && !flushed) {
-              flushed = true
-              val st = sampler.stats
-              acc.steps.add(st.steps); acc.trials.add(st.trials)
-              acc.accepts.add(st.accepts); acc.preAccepts.add(st.preAccepts)
-              acc.fallbacks.add(st.fallbacks)
-              acc.initNanos.add(st.initNanos); acc.initCount.add(st.initCount)
-              val mgrBytes = sampler match {
-                case m: MHSampler => m.managerBytes
-                case _            => 0L
-              }
-              acc.localBytes.add(st.lazyBytes + mgrBytes)
-            }
-            h
-          }
-          override def next(): Array[Int] = inner.next()
+        val factory = bcFactory.value
+        val sampler = factory.create(g, model)
+        // Flush the counters and recycle the sampler when the task ends,
+        // also when its consumer stops early (take, first) or it is killed.
+        TaskContext.get().addTaskCompletionListener[Unit] { _ =>
+          acc.flush(sampler)
+          factory.release(sampler)
         }
+        val rng = new SplittableRandom(seed * 1000003L + pid)
+        it.map(i => runWalk(g, model, sampler, (i % n).toInt, walkLen, rng))
       }
     (walks, acc)
   }

@@ -6,7 +6,8 @@ import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.CSRGraph
 
 /** Per-partition mutable sampling counters, flushed into Spark
-  * accumulators when a partition finishes (see UniNet.generateWalks).
+  * accumulators when the partition's task completes (see
+  * UniNet.generateWalksPrepared).
   * `trials`/`accepts` give the measured acceptance ratio of
   * rejection-style samplers (Table II); `initNanos` separates lazy
   * initialization work out of the walking phase (Ti vs Tw in Table VI).
@@ -37,7 +38,8 @@ trait EdgeSampler {
   * weights, precomputed per-state tables, budget assignments); its wall
   * time is the initialization cost Ti of Tables VI/VII. The prepared
   * factory is broadcast; `create` then instantiates the cheap per-partition
-  * mutable part.
+  * mutable part, and `release` takes it back when the partition's task
+  * completes.
   */
 trait SamplerFactory extends Serializable {
   def name: String
@@ -48,6 +50,11 @@ trait SamplerFactory extends Serializable {
   def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit = ()
 
   def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler
+
+  /** Hands back a sampler from `create` whose task has completed, so its
+    * per-task state can be recycled; it must not be used afterwards.
+    */
+  def release(sampler: EdgeSampler): Unit = ()
 
   /** Bytes of sampler-owned state at *this* graph's scale (excludes the
     * CSR itself); the paper-scale OOM accounting lives in [[MemoryModel]].

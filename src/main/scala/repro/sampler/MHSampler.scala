@@ -1,6 +1,7 @@
 package repro.sampler
 
 import java.util.SplittableRandom
+import java.util.concurrent.ConcurrentLinkedQueue
 
 import repro.core.{RandomWalkModel, SamplerManager, WalkState}
 import repro.graph.CSRGraph
@@ -40,11 +41,35 @@ final case class BurnInInit(iterations: Int = 100) extends InitStrategy { val na
 final class MHSamplerFactory(val init: InitStrategy) extends SamplerFactory {
   override def name = s"mh(${init.name})"
 
-  override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler =
-    new MHSampler(g, model, init)
+  /** Idle LAST_x managers, recycled across the walk tasks of one JVM. The
+    * field is not serialized, so each executor's copy of the broadcast
+    * factory starts with an empty pool (in local mode every task sees the
+    * driver's instance). A task returns its manager when it completes, so
+    * a JVM holds at most one manager per task slot, not one per partition.
+    */
+  @transient private lazy val pool = new ConcurrentLinkedQueue[SamplerManager]
 
-  // LAST_x is allocated lazily inside each partition's SamplerManager;
-  // the worst case (every state visited) is 4 bytes * #state.
+  /** Takes an idle manager of this graph and layout from the pool, reset
+    * so every chain starts fresh, or allocates a new one; managers of
+    * another graph or layout are dropped.
+    */
+  override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
+    val layout: Int => Int = v => model.bucketSize(g, v)
+    var mgr = pool.poll()
+    while (mgr != null && !((mgr.graph eq g) && mgr.reset(layout))) mgr = pool.poll()
+    new MHSampler(g, model, init, if (mgr != null) mgr else new SamplerManager(g, layout))
+  }
+
+  override def release(sampler: EdgeSampler): Unit = sampler match {
+    case s: MHSampler => pool.offer(s.manager)
+    case _            =>
+  }
+
+  /** Worst-case LAST_x bytes of one manager: every state visited, 4 bytes
+    * per state. Managers are allocated lazily and recycled per task slot,
+    * so a walk job holds at most min(partitions, cores) of them per JVM;
+    * what they really allocate is the job's `localBytes`.
+    */
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
     4L * model.numStates(g)
 }
@@ -53,14 +78,16 @@ final class MHSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     init: InitStrategy,
+    val manager: SamplerManager,
 ) extends EdgeSampler {
   override val stats = new LocalStats
-  private val mgr = new SamplerManager(g, v => model.bucketSize(g, v))
 
-  def managerBytes: Long = mgr.memoryBytes
+  def managerBytes: Long = manager.memoryBytes
 
   /** Uniform draw of a permitted (w' > 0) edge of N(v): up to 32 random
-    * probes, then a linear scan fallback; -1 when no edge is permitted.
+    * probes, then one reservoir-sampling pass over N(v), which keeps the
+    * draw uniform however the permitted edges are placed; -1 when no edge
+    * is permitted.
     */
   private def randomPermitted(s: WalkState, rng: SplittableRandom): Int = {
     val lo = g.offset(s.cur); val d = g.degree(s.cur)
@@ -70,15 +97,17 @@ final class MHSampler(
       if (model.calculateWeight(g, s, e) > 0) return e
       probe += 1
     }
-    // Scan from a random rotation so the fallback stays unbiased-ish.
-    val rot = rng.nextInt(d)
-    var j = 0
-    while (j < d) {
-      val e = lo + (j + rot) % d
-      if (model.calculateWeight(g, s, e) > 0) return e
-      j += 1
+    var chosen = -1
+    var seen = 0
+    var e = lo
+    while (e < lo + d) {
+      if (model.calculateWeight(g, s, e) > 0) {
+        seen += 1
+        if (rng.nextInt(seen) == 0) chosen = e
+      }
+      e += 1
     }
-    -1
+    chosen
   }
 
   private def initialEdge(s: WalkState, rng: SplittableRandom): Int = init match {
@@ -128,7 +157,7 @@ final class MHSampler(
     val d = g.degree(v)
     if (d == 0) return -1
     stats.steps += 1
-    val bucket = mgr.bucket(v)
+    val bucket = manager.bucket(v)
     val a = model.affixture(g, s)
     var last = bucket(a)
     if (last < 0) {

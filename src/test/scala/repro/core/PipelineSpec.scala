@@ -63,4 +63,15 @@ class PipelineSpec extends SparkSpec {
     assert(math.abs(share - 8.0 / cores) < 1e-12)
     assert(Pipeline.lazyInitSeconds(initNanos, 1, cores) == 8.0)
   }
+
+  test("Ti + Tw fits in the run's wall time at 1 and 16 partitions") {
+    for (parts <- Seq(1, 16)) {
+      val t0 = System.nanoTime()
+      val r = Pipeline.run(spark, bcG, new Node2Vec(0.5, 2.0), new MHSamplerFactory(HighWeightInit()),
+                           RunConfig(numWalks = 2, walkLen = 10, partitions = parts))
+      val wall = (System.nanoTime() - t0) / 1e9
+      assert(r.times.tInit + r.times.tWalk <= wall, s"$parts partitions")
+      assert(r.times.tWalk > 0, s"$parts partitions: lazy-init share exceeded the walk job")
+    }
+  }
 }

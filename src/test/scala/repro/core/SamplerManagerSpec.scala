@@ -36,4 +36,22 @@ class SamplerManagerSpec extends AnyFunSuite {
     val mgr = new SamplerManager(g, v => 2 * v + 1)
     assert(mgr.bucket(3).length == 7)
   }
+
+  test("reset re-arms every allocated slot and keeps the storage") {
+    val layout = (v: Int) => g.degree(v) + 1
+    val mgr = new SamplerManager(g, layout)
+    val b0 = mgr.bucket(0); val b2 = mgr.bucket(2)
+    b0(1) = 7; b2(0) = 9
+    val bytes = mgr.memoryBytes
+    assert(mgr.reportNewBytes() == bytes)
+    assert(mgr.reset(layout))
+    assert(mgr.bucket(0) eq b0)
+    assert(b0.forall(_ == -1) && b2.forall(_ == -1))
+    assert(mgr.memoryBytes == bytes)   // nothing reallocated
+    assert(mgr.reportNewBytes() == 0L) // ... so nothing new to report
+    mgr.bucket(1)
+    assert(mgr.reportNewBytes() == 4L * (g.degree(1) + 1))
+    // Allocated buckets of another layout's size cannot be recycled.
+    assert(!mgr.reset(_ => 1))
+  }
 }

@@ -1,8 +1,10 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
+
 import repro.{SparkSpec, TestGraphs}
 import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
-import repro.sampler.{DirectSamplerFactory, HighWeightInit, MHSamplerFactory}
+import repro.sampler.{DirectSamplerFactory, HighWeightInit, MHSamplerFactory, SamplerFactory}
 
 /** Walker life cycle on Spark (Alg. 2): counts, lengths, edge validity,
   * parallel independence, and stats plumbing.
@@ -96,5 +98,53 @@ class UniNetSpec extends SparkSpec {
       spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 1, 3, 7, 21L)
     assert(rdd.getNumPartitions == 7)
     rdd.count()
+  }
+
+  test("counters are flushed when the consumer stops early (take)") {
+    val (rdd, acc) = UniNet.generateWalks(
+      spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 1, 10, 1, 17L)
+    val Array(w) = rdd.take(1)
+    assert(w.length == 11)
+    assert(acc.steps.value == w.length - 1)
+  }
+
+  test("recycled M-H managers reproduce a fresh factory's walks") {
+    val m = new Node2Vec(0.5, 2.0)
+    val bcF = spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory)
+    def run(bc: Broadcast[SamplerFactory], parts: Int, seed: Long) = {
+      val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, m, bc, 2, 10, parts, seed)
+      (rdd.collect().map(_.toSeq).toSeq, acc.localBytes.value)
+    }
+    val (_, dirtyBytes) = run(bcF, 4, 5L) // leaves its chains in the pool
+    val (reused, reusedBytes) = run(bcF, 4, 3L)
+    val fresh = UniNet.generateWalks(
+      spark, bcG, m, new MHSamplerFactory(HighWeightInit()), 2, 10, 4, 3L)._1.collect()
+    assert(reused == fresh.map(_.toSeq).toSeq)
+    // Both jobs together hold no more than one job's pool.
+    val perManager = 4L * (0 until g.numNodes).map(m.bucketSize(g, _).toLong).sum
+    val slots = math.min(4, spark.sparkContext.defaultParallelism)
+    assert(dirtyBytes + reusedBytes <= slots * perManager)
+    // A 1-partition job repeated on the same factory touches the same
+    // states, so its recycled manager allocates nothing new.
+    val bc1 = spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory)
+    val (once, onceBytes) = run(bc1, 1, 7L)
+    val (twice, twiceBytes) = run(bc1, 1, 7L)
+    assert(once == twice)
+    assert(onceBytes > 0 && twiceBytes == 0L)
+    bcF.destroy(); bc1.destroy()
+  }
+
+  test("M-H LAST_x bytes follow the cores that ran the job, not the partitions") {
+    val m = new Node2Vec(0.5, 2.0)
+    val perManager = 4L * (0 until g.numNodes).map(m.bucketSize(g, _).toLong).sum
+    for (parts <- Seq(1, 4, 16)) {
+      val (rdd, acc) = UniNet.generateWalks(
+        spark, bcG, m, new MHSamplerFactory(HighWeightInit()), 2, 10, parts, 11L)
+      rdd.count()
+      val slots = math.min(parts, spark.sparkContext.defaultParallelism)
+      assert(acc.localBytes.value > 0)
+      assert(acc.localBytes.value <= slots * perManager,
+             s"$parts partitions: ${acc.localBytes.value} B > $slots x $perManager B")
+    }
   }
 }

@@ -7,6 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{PropHelpers, TestGraphs}
 import repro.core.WalkState
+import repro.graph.GraphGen
 import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
 
 /** M-H edge sampler (Alg. 1): chain convergence to arbitrary unnormalized
@@ -60,6 +61,24 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
+  test("the permitted-edge fallback is uniform when 32 probes miss") {
+    // Center 0 (type 0) with 200 leaves; only leaves 1 and 2 (adjacent
+    // slots) have type 1, so a metapath 0-1 walker at 0 has 2 permitted
+    // edges and 32 uniform probes all miss about 72% of the time.
+    val leaves = 200
+    val types = Array.tabulate[Byte](leaves + 1)(v => if (v == 0) 0 else if (v <= 2) 1 else 2)
+    val g = GraphGen.fromTriples(leaves + 1, (1 to leaves).map(u => (0, u, 1.0)), types, 3)
+    val m = new MetaPath2Vec(Array(0, 1))
+    val s = m.initialState(g, 0)
+    val rng = new SplittableRandom(3)
+    val draws = 4000
+    // A fresh chain per draw: its first emitted edge is (almost always)
+    // the random initial edge.
+    val first = (0 until draws).count(_ => make(g, m).sample(s, rng) == g.offset(0))
+    val share = first.toDouble / draws
+    assert(share > 0.45 && share < 0.55, s"first permitted edge drawn $share of the time")
+  }
+
   test("stuck states return -1") {
     val g = TestGraphs.typedGraph
     val m = new MetaPath2Vec(Array(0, 1))
@@ -84,6 +103,23 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     assert(smp.managerBytes == 4L * (g.degree(0) + 1)) // one bucket allocated
     smp.sample(WalkState(0, 1, 0), rng)
     assert(smp.managerBytes == 4L * (g.degree(0) + 1) + 4L * (g.degree(1) + 1))
+  }
+
+  test("released managers are recycled, reset, only into the same layout") {
+    val g = TestGraphs.trianglePendant
+    val f = new MHSamplerFactory(RandomInit)
+    val rng = new SplittableRandom(5)
+    val a = f.create(g, new DeepWalk).asInstanceOf[MHSampler]
+    a.sample(WalkState(-1, 0, 0), rng)
+    f.release(a)
+    val b = f.create(g, new DeepWalk).asInstanceOf[MHSampler]
+    assert(b.manager eq a.manager)
+    assert(b.manager.bucket(0)(0) == -1)
+    f.release(b)
+    // Deepwalk's one-slot buckets do not fit node2vec's deg + 1 layout.
+    val c = f.create(g, new Node2Vec(1, 1)).asInstanceOf[MHSampler]
+    assert(!(c.manager eq a.manager))
+    assert(c.sample(WalkState(1, 0, 0), rng) >= 0)
   }
 
   test("acceptance is perfect for uniform targets, partial for skewed ones") {
