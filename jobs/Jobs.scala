@@ -7,7 +7,7 @@ import repro.exp.{TableII, TableV, TableVI, TableVII}
 /** Shared SparkSession bootstrap for the spark-submit entrypoints. */
 private object JobSession {
   def make(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", "64")

@@ -91,26 +91,10 @@ object UniNet {
   }
 
   /** Generate `numWalks` walks of length `walkLen` per node (Alg. 2's
-    * K and L). The factory must already be `prepare`d; its shared tables
-    * ride inside the broadcast.
-    */
-  def generateWalks(
-      spark: SparkSession,
-      bcGraph: Broadcast[CSRGraph],
-      model: RandomWalkModel,
-      factory: SamplerFactory,
-      numWalks: Int,
-      walkLen: Int,
-      numPartitions: Int,
-      seed: Long,
-  ): (RDD[Array[Int]], WalkAccumulators) =
-    generateWalksPrepared(spark, bcGraph, model,
-                          spark.sparkContext.broadcast(factory),
-                          numWalks, walkLen, numPartitions, seed)
-
-  /** As [[generateWalks]] but with the factory already broadcast — lets
-    * callers (Pipeline) attribute the broadcast's serialization cost
-    * (large for samplers with shared tables) to the init phase.
+    * K and L). The factory must already be `prepare`d and broadcast; its
+    * shared tables ride inside the broadcast, so callers (Pipeline) can
+    * attribute the broadcast's serialization cost (large for samplers with
+    * shared tables) to the init phase.
     */
   def generateWalksPrepared(
       spark: SparkSession,

@@ -73,7 +73,7 @@ object Experiments {
       run: RunConfig,
       openSourceImpl: Boolean = false,
   ): Option[RunResult] = {
-    if (MemoryModel.oomMark(cfg, factory.name, model.isSecondOrder, openSourceImpl) == "*") None
+    if (MemoryModel.oomMark(cfg, factory, model.isSecondOrder, openSourceImpl) == "*") None
     else {
       // Settle the heap so the previous run's dropped tables/caches are
       // not collected in the middle of this run's timed phases.

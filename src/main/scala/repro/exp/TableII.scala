@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.RunConfig
 import repro.model.Node2Vec
-import repro.sampler.RejectionSamplerFactory
+import repro.sampler.KnightKingSamplerFactory
 
 /** Table II: acceptance ratio and sampling time of the *rejection* edge
   * sampler running node2vec on Flickr, across hyper-parameter settings —
@@ -32,7 +32,7 @@ object TableII {
     val (_, bcG) = Experiments.broadcastDataset(spark, dataset)
     try {
       def once(p: Double, q: Double) = repro.core.Pipeline.run(
-        spark, bcG, new Node2Vec(p, q), new RejectionSamplerFactory,
+        spark, bcG, new Node2Vec(p, q), new KnightKingSamplerFactory(optimized = false),
         RunConfig(numWalks = numWalks, walkLen = walkLen,
                   partitions = Experiments.Parallelism, seed = seed))
       once(1.0, 1.0) // discarded warm-up: JIT-compile the sampling loops

@@ -195,9 +195,9 @@ object TableVI {
         val model = mb.makeModel()
         val orig = Experiments.origFactory(model)
         (mb.modelName, ds,
-         MemoryModel.oomMark(cfg, orig.name, model.isSecondOrder, openSourceImpl = true),
-         MemoryModel.oomMark(cfg, orig.name, model.isSecondOrder),
-         MemoryModel.oomMark(cfg, Experiments.mhFactory.name, model.isSecondOrder))
+         MemoryModel.oomMark(cfg, orig, model.isSecondOrder, openSourceImpl = true),
+         MemoryModel.oomMark(cfg, orig, model.isSecondOrder),
+         MemoryModel.oomMark(cfg, Experiments.mhFactory, model.isSecondOrder))
       }
     }
 }

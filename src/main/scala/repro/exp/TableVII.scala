@@ -26,7 +26,7 @@ object TableVII {
     */
   def samplerRows(budget: Long): Seq[(String, () => SamplerFactory)] = Seq(
     "Alias"          -> (() => new AliasSamplerFactory(precomputeAll = true)),
-    "Rejection"      -> (() => new RejectionSamplerFactory),
+    "Rejection"      -> (() => new KnightKingSamplerFactory(optimized = false)),
     "KnightKing"     -> (() => new KnightKingSamplerFactory),
     "Memory-Aware"   -> (() => new MemoryAwareSamplerFactory(budget)),
     "UniNet(Rand)"   -> (() => new MHSamplerFactory(RandomInit)),

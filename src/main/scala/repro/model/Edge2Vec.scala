@@ -1,6 +1,6 @@
 package repro.model
 
-import repro.core.{RandomWalkModel, WalkState}
+import repro.core.WalkState
 import repro.graph.CSRGraph
 
 /** Edge2vec (Eq. 3): node2vec extended with an edge-type transition matrix
@@ -16,27 +16,10 @@ import repro.graph.CSRGraph
   * sampling cost and distribution shape only depend on M's value range,
   * not on how it was fit (DESIGN.md §3).
   */
-final class Edge2Vec(val p: Double, val q: Double, val matrix: Array[Array[Double]])
-    extends RandomWalkModel {
-  require(p > 0 && q > 0, "edge2vec requires p > 0 and q > 0")
+final class Edge2Vec(p: Double, q: Double, val matrix: Array[Array[Double]])
+    extends SecondOrderModel(p, q) {
   require(matrix.nonEmpty && matrix.forall(_.length == matrix.length), "M must be square")
   override val name = s"edge2vec(p=$p,q=$q)"
-  override val isSecondOrder = true
-
-  private val invP = 1.0 / p
-  private val invQ = 1.0 / q
-  private val mMax = matrix.map(_.max).max
-  private val mMin = matrix.map(_.min).min
-
-  private def alpha(g: CSRGraph, s: WalkState, e: Int): Double = {
-    if (s.prev < 0) 1.0
-    else {
-      val u = g.dst(e)
-      if (u == s.prev) invP
-      else if (g.hasEdge(s.prev, u)) 1.0
-      else invQ
-    }
-  }
 
   /** M factor for traversing edge `e` after having arrived via (s.prev, s.cur). */
   def mFactor(g: CSRGraph, s: WalkState, e: Int): Double =
@@ -49,25 +32,8 @@ final class Edge2Vec(val p: Double, val q: Double, val matrix: Array[Array[Doubl
   override def calculateWeight(g: CSRGraph, s: WalkState, e: Int): Double =
     alpha(g, s, e) * mFactor(g, s, e) * g.weight(e)
 
-  override def updateState(g: CSRGraph, s: WalkState, e: Int): WalkState =
-    WalkState(s.cur, g.dst(e), 0)
-
-  override def initialState(g: CSRGraph, start: Int): WalkState = WalkState(-1, start, 0)
-
-  override def bucketSize(g: CSRGraph, v: Int): Int = g.degree(v) + 1
-  override def affixture(g: CSRGraph, s: WalkState): Int =
-    if (s.prev < 0) g.degree(s.cur)
-    else {
-      val i = g.neighborIndexOf(s.cur, s.prev)
-      if (i >= 0) i else g.degree(s.cur)
-    }
-
-  override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState =
-    if (affix >= g.degree(v)) WalkState(-1, v, 0)
-    else WalkState(g.dst(g.offset(v) + affix), v, 0)
-
-  override val maxBias: Double = math.max(1.0, math.max(invP, invQ)) * mMax
-  override val minBias: Double = math.min(1.0, math.min(invP, invQ)) * mMin
+  override val maxBias: Double = maxAlpha * matrix.map(_.max).max
+  override val minBias: Double = minAlpha * matrix.map(_.min).min
   // No deterministic outlier: the M factor depends on the heterogeneous
   // type layout, so outlier folding cannot be predefined (paper §V-E).
 }

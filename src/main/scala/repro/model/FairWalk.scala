@@ -1,6 +1,6 @@
 package repro.model
 
-import repro.core.{RandomWalkModel, WalkState}
+import repro.core.WalkState
 import repro.graph.CSRGraph
 
 /** Fairwalk (Eq. 5 / Table IV): node2vec where each node-type group of
@@ -14,23 +14,8 @@ import repro.graph.CSRGraph
   * on graphs with generated type info (GraphGen.withGeneratedTypes), as
   * the paper does.
   */
-final class FairWalk(val p: Double, val q: Double) extends RandomWalkModel {
-  require(p > 0 && q > 0, "fairwalk requires p > 0 and q > 0")
+final class FairWalk(p: Double, q: Double) extends SecondOrderModel(p, q) {
   override val name = s"fairwalk(p=$p,q=$q)"
-  override val isSecondOrder = true
-
-  private val invP = 1.0 / p
-  private val invQ = 1.0 / q
-
-  private def alpha(g: CSRGraph, s: WalkState, e: Int): Double = {
-    if (s.prev < 0) 1.0
-    else {
-      val u = g.dst(e)
-      if (u == s.prev) invP
-      else if (g.hasEdge(s.prev, u)) 1.0
-      else invQ
-    }
-  }
 
   /** Same-type neighbor group size |K_u| for candidate edge `e`. */
   def groupSize(g: CSRGraph, v: Int, e: Int): Int =
@@ -41,24 +26,7 @@ final class FairWalk(val p: Double, val q: Double) extends RandomWalkModel {
     if (k == 0) 0.0 else alpha(g, s, e) * g.weight(e) / k
   }
 
-  override def updateState(g: CSRGraph, s: WalkState, e: Int): WalkState =
-    WalkState(s.cur, g.dst(e), 0)
-
-  override def initialState(g: CSRGraph, start: Int): WalkState = WalkState(-1, start, 0)
-
-  override def bucketSize(g: CSRGraph, v: Int): Int = g.degree(v) + 1
-  override def affixture(g: CSRGraph, s: WalkState): Int =
-    if (s.prev < 0) g.degree(s.cur)
-    else {
-      val i = g.neighborIndexOf(s.cur, s.prev)
-      if (i >= 0) i else g.degree(s.cur)
-    }
-
-  override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState =
-    if (affix >= g.degree(v)) WalkState(-1, v, 0)
-    else WalkState(g.dst(g.offset(v) + affix), v, 0)
-
-  override val maxBias: Double = math.max(1.0, math.max(invP, invQ)) // |K| >= 1
+  override val maxBias: Double = maxAlpha // |K| >= 1
   // bias = alpha / |K| has no useful uniform floor (|K| varies per edge);
   // pre-acceptance is disabled, matching the paper's "non-deterministic
   // outliers" observation for fairwalk.

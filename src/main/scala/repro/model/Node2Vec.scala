@@ -1,67 +1,19 @@
 package repro.model
 
-import repro.core.{RandomWalkModel, WalkState}
+import repro.core.WalkState
 import repro.graph.CSRGraph
 
-/** Node2vec (Eq. 2): second-order walk biased by hyper-parameters (p, q).
-  *
-  * State x = the previous edge (s, v); the dynamic weight of a candidate
-  * edge (v, u) is alpha_u * w_vu with
-  *   alpha = 1/p  if u == s           (d(u,s) = 0, return),
-  *   alpha = 1    if (s, u) is an edge (d(u,s) = 1, triangle),
-  *   alpha = 1/q  otherwise            (d(u,s) = 2, explore).
-  * The triangle test is the O(log deg) binary search the paper's
-  * complexity analysis refers to (§III-A). The first step of a walk has
-  * no previous edge; alpha is then 1 for every candidate (plain deepwalk
-  * step), matching the reference implementation.
+/** Node2vec (Eq. 2): the dynamic weight of a candidate edge (v, u) is
+  * alpha_u * w_vu, with alpha as in [[SecondOrderModel]].
   */
-final class Node2Vec(val p: Double, val q: Double) extends RandomWalkModel {
-  require(p > 0 && q > 0, "node2vec requires p > 0 and q > 0")
+final class Node2Vec(p: Double, q: Double) extends SecondOrderModel(p, q) {
   override val name = s"node2vec(p=$p,q=$q)"
-  override val isSecondOrder = true
-
-  private val invP = 1.0 / p
-  private val invQ = 1.0 / q
-
-  /** alpha_u for state `s` and candidate edge `e`. */
-  def alpha(g: CSRGraph, s: WalkState, e: Int): Double = {
-    if (s.prev < 0) 1.0
-    else {
-      val u = g.dst(e)
-      if (u == s.prev) invP
-      else if (g.hasEdge(s.prev, u)) 1.0
-      else invQ
-    }
-  }
 
   override def calculateWeight(g: CSRGraph, s: WalkState, e: Int): Double =
     alpha(g, s, e) * g.weight(e)
 
-  override def updateState(g: CSRGraph, s: WalkState, e: Int): WalkState =
-    WalkState(s.cur, g.dst(e), 0)
-
-  override def initialState(g: CSRGraph, start: Int): WalkState = WalkState(-1, start, 0)
-
-  /** 2D layout (Fig. 4): one sampler per (v, index-of-s-in-N(v)) plus one
-    * extra slot for the first step's prev-less state.
-    */
-  override def bucketSize(g: CSRGraph, v: Int): Int = g.degree(v) + 1
-
-  override def affixture(g: CSRGraph, s: WalkState): Int =
-    if (s.prev < 0) g.degree(s.cur)
-    else {
-      val i = g.neighborIndexOf(s.cur, s.prev)
-      // prev reached cur via an edge, and the graph is symmetric, so the
-      // reverse edge must exist; guard anyway for hand-built digraphs.
-      if (i >= 0) i else g.degree(s.cur)
-    }
-
-  override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState =
-    if (affix >= g.degree(v)) WalkState(-1, v, 0)
-    else WalkState(g.dst(g.offset(v) + affix), v, 0)
-
-  override val maxBias: Double = math.max(1.0, math.max(invP, invQ))
-  override val minBias: Double = math.min(1.0, math.min(invP, invQ))
+  override val maxBias: Double = maxAlpha
+  override val minBias: Double = minAlpha
 
   /** Outlier folding: when 1/p alone exceeds the rest of the bias range,
     * the single return edge (v, s) is the deterministic outlier KnightKing

@@ -3,7 +3,7 @@ package repro.sampler
 import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, WalkState}
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, DatasetConfig}
 
 /** Direct edge sampler [21]: O(1) memory, O(deg) time per draw — compute
   * every dynamic weight of the current neighborhood, then inverse-CDF
@@ -18,6 +18,8 @@ object DirectSamplerFactory extends SamplerFactory {
     new DirectSampler(g, model)
 
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = 0L
+
+  override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long = 0L
 }
 
 final class DirectSampler(g: CSRGraph, model: RandomWalkModel) extends EdgeSampler {

@@ -3,7 +3,7 @@ package repro.sampler
 import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, WalkState}
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, DatasetConfig}
 
 /** Per-partition mutable sampling counters, flushed into Spark
   * accumulators when the partition's task completes (see
@@ -60,6 +60,11 @@ trait SamplerFactory extends Serializable {
     * CSR itself); the paper-scale OOM accounting lives in [[MemoryModel]].
     */
   def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long
+
+  /** Sampler bytes at the paper's scale of `cfg` (its [[MemoryModel]]
+    * formula); `freeBytes` is the server memory left after the graph.
+    */
+  def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long
 }
 
 private[sampler] object SamplerUtil {

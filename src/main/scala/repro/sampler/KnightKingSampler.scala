@@ -3,10 +3,43 @@ package repro.sampler
 import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, WalkState}
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, DatasetConfig}
 
-/** KnightKing-style sampler [35]: rejection sampling over the static
-  * proposal with two of KnightKing's algorithmic optimizations —
+/** The static-weight proposal distribution of the rejection-style
+  * samplers: one alias table per node over the *static* edge weights, plus
+  * per-node weight sums. This is exactly the structure whose O(|E|)
+  * footprint makes rejection/KnightKing OOM on Web-UK in the paper (§V-D)
+  * while M-H (uniform proposal, no table) survives.
+  */
+final class StaticProposal(
+    val tables: Array[AliasTable],
+    val weightSums: Array[Double],
+) extends Serializable {
+  def bytes(g: CSRGraph): Long = AliasMethod.tableBytes(g.numDirectedEdges) + 8L * g.numNodes
+}
+
+object StaticProposal {
+  def build(g: CSRGraph, parallel: Boolean): StaticProposal = {
+    val tables = new Array[AliasTable](g.numNodes)
+    val sums = new Array[Double](g.numNodes)
+    SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
+      val d = g.degree(v); val lo = g.offset(v)
+      val w = new Array[Double](d)
+      var j = 0; var s = 0.0
+      while (j < d) { w(j) = g.weight(lo + j).toDouble; s += w(j); j += 1 }
+      tables(v) = AliasMethod.build(w)
+      sums(v) = s
+    }
+    new StaticProposal(tables, sums)
+  }
+}
+
+/** Rejection edge sampler [34], [35] over the static proposal: draw a
+  * candidate, accept with probability bias/envelope. Expected O(envelope /
+  * E[bias]) draws per sample — the parameter sensitivity Table II
+  * measures. With `optimized = true` (name "knightking") it adds two of
+  * KnightKing's algorithmic optimizations; with `optimized = false` (name
+  * "rejection") it is plain rejection sampling with envelope `maxBias`:
   *
   *  - **outlier folding**: a state's single deterministic outlier edge
   *    (node2vec's 1/p return edge when 1/p dominates) is pulled out of the
@@ -20,28 +53,34 @@ import repro.graph.CSRGraph
   * outliers depend on the heterogeneous layout) get no folding benefit,
   * reproducing the paper's §V-D/§V-E observations. The distributed-engine
   * side of KnightKing is out of scope: the paper itself benchmarks it in
-  * standalone mode.
+  * standalone mode. In both settings a trial cap falls back to the direct
+  * sampler so states whose acceptance region is tiny (or empty, e.g.
+  * metapath mismatches) cannot spin forever.
   */
-final class KnightKingSamplerFactory extends SamplerFactory {
-  override val name = "knightking"
+final class KnightKingSamplerFactory(val optimized: Boolean = true) extends SamplerFactory {
+  override val name = if (optimized) "knightking" else "rejection"
   private var proposal: StaticProposal = _
 
   override def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit =
     proposal = StaticProposal.build(g, parallel)
 
   override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
-    require(proposal != null, "knightking: prepare() must run before create()")
-    new KnightKingSampler(g, model, proposal)
+    require(proposal != null, s"$name: prepare() must run before create()")
+    new KnightKingSampler(g, model, proposal, optimized)
   }
 
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
     if (proposal == null) 0L else proposal.bytes(g)
+
+  override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =
+    12L * MemoryModel.paperDirectedEdges(cfg) + 8L * cfg.paperNodes
 }
 
 final class KnightKingSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     proposal: StaticProposal,
+    optimized: Boolean,
     maxTrialsPerDeg: Int = 8,
 ) extends EdgeSampler {
   override val stats = new LocalStats
@@ -57,7 +96,7 @@ final class KnightKingSampler(
     if (t == null) return -1
     val lo = g.offset(v)
 
-    val outlier = model.outlierEdge(g, s)
+    val outlier = if (optimized) model.outlierEdge(g, s) else -1
     val envelope = if (outlier >= 0) foldedEnvelope else plainEnvelope
     // Mixture split: the outlier's weight above the folded envelope cap
     // forms its own always-accepted area. The split must be re-drawn on
@@ -69,7 +108,7 @@ final class KnightKingSampler(
       if (extra > 0) outlierProb = extra / (extra + envelope * proposal.weightSums(v))
     }
 
-    val preThreshold = model.minBias / envelope
+    val preThreshold = if (optimized) model.minBias / envelope else 0.0
     val cap = maxTrialsPerDeg * d + 16
     var trial = 0
     while (trial < cap) {
@@ -80,7 +119,9 @@ final class KnightKingSampler(
         return outlier
       }
       val e = lo + t.draw(rng)
-      val r = rng.nextDouble()
+      // KnightKing draws the uniform before the weight so pre-acceptance
+      // can skip it; plain rejection draws it only for a permitted edge.
+      var r = if (optimized) rng.nextDouble() else 0.0
       if (r < preThreshold) {
         // pre-acceptance: bias >= minBias for every edge, skip the weight.
         stats.preAccepts += 1
@@ -90,9 +131,12 @@ final class KnightKingSampler(
       // In the folded area the outlier's contribution is capped at the
       // envelope (the surplus lives in the mixture's outlier area).
       val bias = math.min(model.bias(g, s, e), envelope)
-      if (bias > 0 && r * envelope < bias) {
-        stats.accepts += 1
-        return e
+      if (bias > 0) {
+        if (!optimized) r = rng.nextDouble()
+        if (r * envelope < bias) {
+          stats.accepts += 1
+          return e
+        }
       }
     }
     stats.fallbacks += 1

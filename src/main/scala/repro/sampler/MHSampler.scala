@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 import java.util.concurrent.ConcurrentLinkedQueue
 
 import repro.core.{RandomWalkModel, SamplerManager, WalkState}
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, DatasetConfig}
 
 /** Initialization strategy for an M-H edge sampler's Markov chain
   * (paper §III-C): how to pick LAST_x the first time a state is touched.
@@ -72,6 +72,9 @@ final class MHSamplerFactory(val init: InitStrategy) extends SamplerFactory {
     */
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
     4L * model.numStates(g)
+
+  override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =
+    4L * MemoryModel.paperStates(cfg, secondOrder)
 }
 
 final class MHSampler(

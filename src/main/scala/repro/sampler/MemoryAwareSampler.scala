@@ -3,7 +3,7 @@ package repro.sampler
 import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, WalkState}
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, DatasetConfig}
 
 /** Memory-aware edge sampler (Shao et al., SIGMOD'20 [32]): assign the
   * O(1)-per-draw alias method to as many states as a byte budget allows,
@@ -17,17 +17,20 @@ import repro.graph.CSRGraph
   * counted), so the sampler works within the budget by construction —
   * which is exactly why it survives Web-UK in Tables VI/VII while being
   * slower than the O(1) samplers when the budget falls short.
+  *
+  * The lazy tables live in each partition's [[LazyAliasCache]], so
+  * `budgetBytes` bounds the alias bytes of one walk task, not of the whole
+  * job: a job whose tasks visit the same states builds them once per task.
   */
 final class MemoryAwareSamplerFactory(val budgetBytes: Long) extends SamplerFactory {
   override def name = s"memory-aware(${budgetBytes / (1L << 20)}MB)"
 
-  // aliasUpTo(v): true when node v's states are assigned the alias method.
+  // aliasEnabled(v): true when node v's states are assigned the alias method.
   private var aliasEnabled: Array[Boolean] = _
   private var assignedBytes: Long = 0L
 
   override def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit = {
     aliasEnabled = new Array[Boolean](g.numNodes)
-    assignedBytes = 0L
     val order = Array.tabulate(g.numNodes)(identity).sortBy(v => -g.degree(v))
     var i = 0
     var used = 0L
@@ -45,8 +48,14 @@ final class MemoryAwareSamplerFactory(val budgetBytes: Long) extends SamplerFact
     new MemoryAwareSampler(g, model, aliasEnabled)
   }
 
-  /** Budgeted upper bound of alias storage (lazy build may use less). */
+  /** Budgeted upper bound of one partition's alias storage (lazy build may
+    * use less).
+    */
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = assignedBytes
+
+  /** Assigns within whatever budget remains after the graph. */
+  override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =
+    math.max(0L, math.min(freeBytes, MemoryModel.paperAliasBytes(cfg, secondOrder)))
 }
 
 final class MemoryAwareSampler(
@@ -55,8 +64,7 @@ final class MemoryAwareSampler(
     aliasEnabled: Array[Boolean],
 ) extends EdgeSampler {
   override val stats = new LocalStats
-  // Per-partition lazy cache of dynamic alias tables for assigned states.
-  private val cache = new Array[Array[AliasTable]](g.numNodes)
+  private val cache = new LazyAliasCache(g, model, stats)
 
   override def sample(s: WalkState, rng: SplittableRandom): Int = {
     val v = s.cur
@@ -68,18 +76,7 @@ final class MemoryAwareSampler(
       return SamplerUtil.directDraw(g, model, s, rng)
     }
     stats.trials += 1
-    var row = cache(v)
-    if (row == null) { row = new Array[AliasTable](model.bucketSize(g, v)); cache(v) = row }
-    val a = model.affixture(g, s)
-    var t = row(a)
-    if (t == null) {
-      val t0 = System.nanoTime()
-      t = AliasMethod.build(SamplerUtil.dynamicWeights(g, model, s))
-      row(a) = t
-      stats.initNanos += System.nanoTime() - t0
-      stats.initCount += 1
-      stats.lazyBytes += AliasMethod.tableBytes(d)
-    }
+    val t = cache.table(s)
     if (t == null) -1 else g.offset(v) + t.draw(rng)
   }
 }

@@ -6,9 +6,9 @@ import repro.graph.DatasetConfig
   *
   * We cannot materialize 2.9B/6.6B-edge graphs, so the out-of-memory `*`
   * cells of Tables VI/VII are decided from each sampler's memory-complexity
-  * formula evaluated on the real dataset sizes against the paper's server
-  * (96 GB) — the paper's OOM pattern is itself a memory-complexity
-  * statement, which these formulas reproduce:
+  * formula (its factory's `paperBytes`) evaluated on the real dataset sizes
+  * against the paper's server (96 GB) — the paper's OOM pattern is itself
+  * a memory-complexity statement, which these formulas reproduce:
   *
   *   graph (CSR, weighted)        : 8 |E|dir + 4 |V| bytes
   *   alias, first-order           : 12 |E|dir                (one table/node)
@@ -49,34 +49,30 @@ object MemoryModel {
   def paperStates(cfg: DatasetConfig, secondOrder: Boolean): Long =
     if (secondOrder) paperDirectedEdges(cfg) else cfg.paperNodes
 
-  /** Footprint of `samplerName` on the paper-scale dataset `cfg`.
-    * Sampler names match the factories' `name` prefixes.
+  /** Alias tables at paper scale: one per node over its edges for
+    * first-order models, one per directed edge over its destination's
+    * edges for second-order ones.
     */
-  def paperScale(cfg: DatasetConfig, samplerName: String, secondOrder: Boolean,
+  def paperAliasBytes(cfg: DatasetConfig, secondOrder: Boolean): Long = {
+    val e = paperDirectedEdges(cfg)
+    if (secondOrder) (12.0 * e * cfg.paperMeanDegree).toLong else 12L * e
+  }
+
+  /** Footprint of `factory`'s sampler on the paper-scale dataset `cfg`. */
+  def paperScale(cfg: DatasetConfig, factory: SamplerFactory, secondOrder: Boolean,
                  budgetBytes: Long = PaperServerBytes,
                  openSourceImpl: Boolean = false): Footprint = {
     val e = paperDirectedEdges(cfg)
     val v = cfg.paperNodes
     val gBytes = if (openSourceImpl) openSourceGraphBytes(v, e) else graphBytes(v, e)
-    val sBytes = samplerName.takeWhile(_ != '(') match {
-      case "alias" =>
-        if (secondOrder) (12.0 * e * cfg.paperMeanDegree).toLong else 12L * e
-      case "rejection" | "knightking" => 12L * e + 8L * v
-      case "mh"           => 4L * paperStates(cfg, secondOrder)
-      case "memory-aware" =>
-        // assigns within whatever budget remains after the graph
-        math.max(0L, math.min(budgetBytes - gBytes, if (secondOrder) (12.0 * e * cfg.paperMeanDegree).toLong else 12L * e))
-      case "direct" => 0L
-      case other    => throw new IllegalArgumentException(s"unknown sampler: $other")
-    }
-    Footprint(gBytes, sBytes)
+    Footprint(gBytes, factory.paperBytes(cfg, secondOrder, budgetBytes - gBytes))
   }
 
   /** The table-cell annotation: "*" when the paper-scale footprint exceeds
     * the paper's 96 GB server, "" otherwise.
     */
-  def oomMark(cfg: DatasetConfig, samplerName: String, secondOrder: Boolean,
+  def oomMark(cfg: DatasetConfig, factory: SamplerFactory, secondOrder: Boolean,
               openSourceImpl: Boolean = false): String =
-    if (paperScale(cfg, samplerName, secondOrder, openSourceImpl = openSourceImpl)
+    if (paperScale(cfg, factory, secondOrder, openSourceImpl = openSourceImpl)
           .oomAt(PaperServerBytes)) "*" else ""
 }

@@ -2,10 +2,7 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Generator primitives added for the graph workloads, plus one oracle
-  * round-trip over the stock TPC-H-lite tables to validate the DuckDB
-  * comparison path itself.
-  */
+/** Generator primitives for the graph workloads. */
 class SynthDataSpec extends SparkSpec {
 
   test("zipfPairs: endpoints within range, deterministic") {
@@ -36,16 +33,5 @@ class SynthDataSpec extends SparkSpec {
       val w = r.getDouble(2)
       assert(w >= 0.5 && w < 1.5)
     }
-  }
-
-  test("oracle round-trip: TPC-H-lite aggregate matches DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val agg = li.groupBy(col("l_returnflag"))
-      .agg(count(lit(1)) as "cnt", round(sum(col("l_quantity")), 2) as "qty")
-    Oracle.assertEquivalent(agg,
-      """SELECT l_returnflag, count(*) AS cnt,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
   }
 }

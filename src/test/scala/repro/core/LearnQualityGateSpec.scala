@@ -5,7 +5,7 @@ import org.apache.spark.mllib.feature.Word2Vec
 import repro.SparkSpec
 import repro.graph.GraphGen
 import repro.model.DeepWalk
-import repro.sampler.{HighWeightInit, MHSamplerFactory}
+import repro.sampler.{HighWeightInit, MHSamplerFactory, SamplerFactory}
 
 /** Quality gate of the learning phase: on a planted-partition graph, a
   * node's nearest neighbour in embedding space should share its block.
@@ -25,9 +25,10 @@ class LearnQualityGateSpec extends SparkSpec {
     numNodes = 1000, blocks = Blocks, pIn = 0.06, pOut = 0.004, seed = Seed)
 
   private lazy val corpus = {
-    val (rdd, _) = UniNet.generateWalks(
+    val (rdd, _) = UniNet.generateWalksPrepared(
       spark, spark.sparkContext.broadcast(g), new DeepWalk,
-      new MHSamplerFactory(HighWeightInit()), 2, 20, 4, Seed)
+      spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory),
+      2, 20, 4, Seed)
     rdd.cache()
   }
 

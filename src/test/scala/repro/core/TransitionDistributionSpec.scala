@@ -19,7 +19,8 @@ class TransitionDistributionSpec extends SparkSpec {
     factory.prepare(g, model, parallel = true)
     // Start every walk at `start` by using a 1-node view trick: generate
     // many 1-step walks from each node, then filter on the start node.
-    val (rdd, _) = UniNet.generateWalks(spark, bcG, model, factory, walks, 1, 8, seed)
+    val (rdd, _) = UniNet.generateWalksPrepared(
+      spark, bcG, model, spark.sparkContext.broadcast(factory), walks, 1, 8, seed)
     val counts = rdd.filter(_.head == start).map(_.lift(1)).collect()
     bcG.destroy()
     val d = g.degree(start)
@@ -58,7 +59,8 @@ class TransitionDistributionSpec extends SparkSpec {
                              start: Int, mid: Int, walks: Int, seed: Long): Array[Double] = {
     val bcG = spark.sparkContext.broadcast(g)
     factory.prepare(g, model, parallel = true)
-    val (rdd, _) = UniNet.generateWalks(spark, bcG, model, factory, walks, 2, 8, seed)
+    val (rdd, _) = UniNet.generateWalksPrepared(
+      spark, bcG, model, spark.sparkContext.broadcast(factory), walks, 2, 8, seed)
     val nexts = rdd
       .filter(w => w.length == 3 && w(0) == start && w(1) == mid)
       .map(_(2)).collect()

@@ -12,11 +12,12 @@ import repro.sampler.{DirectSamplerFactory, HighWeightInit, MHSamplerFactory, Sa
 class UniNetSpec extends SparkSpec {
   private lazy val g = TestGraphs.mediumGraph(n = 100, mult = 3)
   private lazy val bcG = spark.sparkContext.broadcast(g)
+  private def bcMH() =
+    spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory)
 
   private def walks(model: RandomWalkModel, k: Int = 2, len: Int = 10,
                     parts: Int = 4, seed: Long = 3L) = {
-    val (rdd, acc) = UniNet.generateWalks(
-      spark, bcG, model, new MHSamplerFactory(HighWeightInit()), k, len, parts, seed)
+    val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, model, bcMH(), k, len, parts, seed)
     (rdd.collect(), acc)
   }
 
@@ -69,8 +70,7 @@ class UniNetSpec extends SparkSpec {
     val t = TestGraphs.typedGraph
     val bcT = spark.sparkContext.broadcast(t)
     val m = new MetaPath2Vec(Array(0, 1))
-    val (rdd, _) = UniNet.generateWalks(
-      spark, bcT, m, new MHSamplerFactory(HighWeightInit()), 2, 8, 2, 9L)
+    val (rdd, _) = UniNet.generateWalksPrepared(spark, bcT, m, bcMH(), 2, 8, 2, 9L)
     val ws = rdd.collect()
     assert(ws.length == 2 * t.numNodes)
     // Walks from type-2 nodes are stuck immediately (length 1).
@@ -86,23 +86,22 @@ class UniNetSpec extends SparkSpec {
   }
 
   test("direct-sampler walks match the same interface (factory swap)") {
-    val (rdd, acc) = UniNet.generateWalks(
-      spark, bcG, new DeepWalk, DirectSamplerFactory, 1, 5, 2, 13L)
+    val (rdd, acc) = UniNet.generateWalksPrepared(
+      spark, bcG, new DeepWalk, spark.sparkContext.broadcast(DirectSamplerFactory: SamplerFactory),
+      1, 5, 2, 13L)
     val ws = rdd.collect()
     assert(ws.length == g.numNodes)
     assert(acc.trials.value > acc.steps.value) // O(deg) work per step
   }
 
   test("partition count is honored") {
-    val (rdd, _) = UniNet.generateWalks(
-      spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 1, 3, 7, 21L)
+    val (rdd, _) = UniNet.generateWalksPrepared(spark, bcG, new DeepWalk, bcMH(), 1, 3, 7, 21L)
     assert(rdd.getNumPartitions == 7)
     rdd.count()
   }
 
   test("counters are flushed when the consumer stops early (take)") {
-    val (rdd, acc) = UniNet.generateWalks(
-      spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 1, 10, 1, 17L)
+    val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, new DeepWalk, bcMH(), 1, 10, 1, 17L)
     val Array(w) = rdd.take(1)
     assert(w.length == 11)
     assert(acc.steps.value == w.length - 1)
@@ -110,15 +109,14 @@ class UniNetSpec extends SparkSpec {
 
   test("recycled M-H managers reproduce a fresh factory's walks") {
     val m = new Node2Vec(0.5, 2.0)
-    val bcF = spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory)
+    val bcF = bcMH()
     def run(bc: Broadcast[SamplerFactory], parts: Int, seed: Long) = {
       val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, m, bc, 2, 10, parts, seed)
       (rdd.collect().map(_.toSeq).toSeq, acc.localBytes.value)
     }
     val (_, dirtyBytes) = run(bcF, 4, 5L) // leaves its chains in the pool
     val (reused, reusedBytes) = run(bcF, 4, 3L)
-    val fresh = UniNet.generateWalks(
-      spark, bcG, m, new MHSamplerFactory(HighWeightInit()), 2, 10, 4, 3L)._1.collect()
+    val fresh = UniNet.generateWalksPrepared(spark, bcG, m, bcMH(), 2, 10, 4, 3L)._1.collect()
     assert(reused == fresh.map(_.toSeq).toSeq)
     // Both jobs together hold no more than one job's pool.
     val perManager = 4L * (0 until g.numNodes).map(m.bucketSize(g, _).toLong).sum
@@ -126,7 +124,7 @@ class UniNetSpec extends SparkSpec {
     assert(dirtyBytes + reusedBytes <= slots * perManager)
     // A 1-partition job repeated on the same factory touches the same
     // states, so its recycled manager allocates nothing new.
-    val bc1 = spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory)
+    val bc1 = bcMH()
     val (once, onceBytes) = run(bc1, 1, 7L)
     val (twice, twiceBytes) = run(bc1, 1, 7L)
     assert(once == twice)
@@ -138,8 +136,7 @@ class UniNetSpec extends SparkSpec {
     val m = new Node2Vec(0.5, 2.0)
     val perManager = 4L * (0 until g.numNodes).map(m.bucketSize(g, _).toLong).sum
     for (parts <- Seq(1, 4, 16)) {
-      val (rdd, acc) = UniNet.generateWalks(
-        spark, bcG, m, new MHSamplerFactory(HighWeightInit()), 2, 10, parts, 11L)
+      val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, m, bcMH(), 2, 10, parts, 11L)
       rdd.count()
       val slots = math.min(parts, spark.sparkContext.defaultParallelism)
       assert(acc.localBytes.value > 0)

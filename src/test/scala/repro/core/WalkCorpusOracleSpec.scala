@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.model.DeepWalk
-import repro.sampler.{HighWeightInit, MHSamplerFactory}
+import repro.sampler.{HighWeightInit, MHSamplerFactory, SamplerFactory}
 
 /** Walk-corpus analytics in Spark SQL, cross-checked against DuckDB: the
   * oracle guards the DataFrame aggregation paths the harnesses use for
@@ -15,10 +15,12 @@ class WalkCorpusOracleSpec extends SparkSpec {
   private lazy val corpusDF = {
     val g = TestGraphs.mediumGraph(n = 50, mult = 2)
     val bcG = spark.sparkContext.broadcast(g)
-    val (rdd, _) = UniNet.generateWalks(
-      spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 2, 6, 4, 53L)
+    val (rdd, _) = UniNet.generateWalksPrepared(
+      spark, bcG, new DeepWalk,
+      spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory),
+      2, 6, 4, 53L)
     import spark.implicits._
-    rdd.zipWithIndex.flatMap { case (w, id) =>
+    rdd.zipWithIndex().flatMap { case (w, id) =>
       w.zipWithIndex.map { case (node, pos) => (id, pos, node) }
     }.toDF("walk_id", "pos", "node").cache()
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.model.DeepWalk
-import repro.sampler.{HighWeightInit, MHSamplerFactory}
+import repro.sampler.{HighWeightInit, MHSamplerFactory, SamplerFactory}
 
 /** Learning phase: the int-native skip-gram trainer over the walk corpus. */
 class Word2VecTrainerSpec extends SparkSpec {
@@ -11,8 +11,10 @@ class Word2VecTrainerSpec extends SparkSpec {
 
   private lazy val corpus = {
     val bcG = spark.sparkContext.broadcast(g)
-    val (rdd, _) = UniNet.generateWalks(
-      spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 5, 10, 4, 41L)
+    val (rdd, _) = UniNet.generateWalksPrepared(
+      spark, bcG, new DeepWalk,
+      spark.sparkContext.broadcast(new MHSamplerFactory(HighWeightInit()): SamplerFactory),
+      5, 10, 4, 41L)
     rdd.cache()
   }
 

@@ -72,12 +72,17 @@ class Node2VecSpec extends AnyFunSuite {
   }
 
   test("stateFor is the inverse of affixture") {
-    val m = new Node2Vec(1, 1)
-    for (a <- 0 until g.degree(0)) {
-      val s = m.stateFor(g, 0, a)
-      assert(m.affixture(g, s) == a)
+    // The whole node2vec family shares one layout (SecondOrderModel).
+    val models = Seq(new Node2Vec(1, 1), Edge2Vec(0.5, 2.0), new FairWalk(2.0, 0.5))
+    for (graph <- Seq(g, TestGraphs.typedGraph); m <- models; v <- 0 until graph.numNodes) {
+      for (a <- 0 until m.bucketSize(graph, v)) {
+        val s = m.stateFor(graph, v, a)
+        assert(m.affixture(graph, s) == a, s"${m.name} v=$v a=$a")
+      }
+      assert(m.stateFor(graph, v, graph.degree(v)) == WalkState(-1, v, 0), m.name)
+      assert(m.initialState(graph, v) == WalkState(-1, v, 0), m.name)
+      assert(m.affixture(graph, m.initialState(graph, v)) == graph.degree(v), m.name)
     }
-    assert(m.stateFor(g, 0, g.degree(0)) == WalkState(-1, 0, 0))
   }
 
   test("bias bounds cover the three alpha values") {

@@ -94,6 +94,24 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     assert(sampler.stats.lazyBytes == AliasMethod.tableBytes(g.degree(0)))
   }
 
+  test("lazy caches build a state with no permitted edge once") {
+    // Path 0-1-2 typed 0,1,0: node 0 has no type-0 neighbor, so the
+    // metapath 0-0 dead-ends there.
+    val t = repro.graph.GraphGen.fromTriples(
+      3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array[Byte](0, 1, 0), 2)
+    val m = new MetaPath2Vec(Array(0, 0))
+    val s = m.initialState(t, 0)
+    for (f <- Seq(new AliasSamplerFactory(precomputeAll = false),
+                  new MemoryAwareSamplerFactory(Long.MaxValue))) {
+      f.prepare(t, m, parallel = false)
+      val sampler = f.create(t, m)
+      val rng = new SplittableRandom(5)
+      (0 until 10).foreach(_ => assert(sampler.sample(s, rng) == -1, f.name))
+      assert(sampler.stats.initCount == 1, f.name)
+      assert(sampler.stats.lazyBytes == 0L, f.name)
+    }
+  }
+
   test("create before prepare fails fast") {
     val f = new AliasSamplerFactory(precomputeAll = true)
     assertThrows[IllegalArgumentException](f.create(g, new DeepWalk))

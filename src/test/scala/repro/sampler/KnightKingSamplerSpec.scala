@@ -52,7 +52,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
     val kk = make(m, star)
     TestGraphs.empiricalDistribution(star, kk, s, 100_000)
     val rej = {
-      val f = new RejectionSamplerFactory
+      val f = new KnightKingSamplerFactory(optimized = false)
       f.prepare(star, m, parallel = false)
       val smp = f.create(star, m)
       TestGraphs.empiricalDistribution(star, smp, s, 100_000)

@@ -12,50 +12,53 @@ class MemoryModelSpec extends AnyFunSuite {
   private val webuk = GraphGen.datasets("Web-UK")
   private val youtube = GraphGen.datasets("YouTube")
   private val flickr = GraphGen.datasets("Flickr")
+  private val aliasPre = new AliasSamplerFactory(precomputeAll = true)
+  private val mh = new MHSamplerFactory(HighWeightInit())
+  private val memoryAware = new MemoryAwareSamplerFactory(80L << 20)
 
   test("Table VII: second-order alias OOMs on both billion-edge networks") {
-    assert(MemoryModel.oomMark(twitter, "alias(precompute)", secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(webuk, "alias(precompute)", secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(twitter, aliasPre, secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(webuk, aliasPre, secondOrder = true) == "*")
   }
 
   test("Table VII: rejection and KnightKing run on Twitter but OOM on Web-UK") {
-    for (s <- Seq("rejection", "knightking")) {
-      assert(MemoryModel.oomMark(twitter, s, secondOrder = true) == "", s)
-      assert(MemoryModel.oomMark(webuk, s, secondOrder = true) == "*", s)
+    for (s <- Seq(new KnightKingSamplerFactory(optimized = false), new KnightKingSamplerFactory)) {
+      assert(MemoryModel.oomMark(twitter, s, secondOrder = true) == "", s.name)
+      assert(MemoryModel.oomMark(webuk, s, secondOrder = true) == "*", s.name)
     }
   }
 
   test("Table VII: M-H fits both billion-edge networks") {
-    assert(MemoryModel.oomMark(twitter, "mh(Weight)", secondOrder = true) == "")
-    assert(MemoryModel.oomMark(webuk, "mh(Weight)", secondOrder = true) == "")
+    assert(MemoryModel.oomMark(twitter, mh, secondOrder = true) == "")
+    assert(MemoryModel.oomMark(webuk, mh, secondOrder = true) == "")
   }
 
   test("Table VII: memory-aware fits both by construction") {
-    assert(MemoryModel.oomMark(twitter, "memory-aware(80MB)", secondOrder = true) == "")
-    assert(MemoryModel.oomMark(webuk, "memory-aware(80MB)", secondOrder = true) == "")
+    assert(MemoryModel.oomMark(twitter, memoryAware, secondOrder = true) == "")
+    assert(MemoryModel.oomMark(webuk, memoryAware, secondOrder = true) == "")
   }
 
   test("Table VI: open-sourced deepwalk runs on Twitter, OOMs on Web-UK") {
-    assert(MemoryModel.oomMark(twitter, "direct", secondOrder = false, openSourceImpl = true) == "")
-    assert(MemoryModel.oomMark(webuk, "direct", secondOrder = false, openSourceImpl = true) == "*")
+    assert(MemoryModel.oomMark(twitter, DirectSamplerFactory, secondOrder = false, openSourceImpl = true) == "")
+    assert(MemoryModel.oomMark(webuk, DirectSamplerFactory, secondOrder = false, openSourceImpl = true) == "*")
   }
 
   test("Table VI: open-sourced node2vec (alias) OOMs on the billion-edge pair only") {
-    assert(MemoryModel.oomMark(twitter, "alias(precompute)", secondOrder = true, openSourceImpl = true) == "*")
-    assert(MemoryModel.oomMark(flickr, "alias(precompute)", secondOrder = true, openSourceImpl = true) == "")
-    assert(MemoryModel.oomMark(youtube, "alias(precompute)", secondOrder = true, openSourceImpl = true) == "")
+    assert(MemoryModel.oomMark(twitter, aliasPre, secondOrder = true, openSourceImpl = true) == "*")
+    assert(MemoryModel.oomMark(flickr, aliasPre, secondOrder = true, openSourceImpl = true) == "")
+    assert(MemoryModel.oomMark(youtube, aliasPre, secondOrder = true, openSourceImpl = true) == "")
   }
 
   test("Table VI: UniNet(Orig) node2vec OOMs on Twitter/Web-UK, runs on YouTube") {
-    assert(MemoryModel.oomMark(twitter, "alias(precompute)", secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(webuk, "alias(precompute)", secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(youtube, "alias(precompute)", secondOrder = true) == "")
+    assert(MemoryModel.oomMark(twitter, aliasPre, secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(webuk, aliasPre, secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(youtube, aliasPre, secondOrder = true) == "")
   }
 
   test("Table VI: M-H deepwalk and node2vec fit everywhere") {
     for (cfg <- GraphGen.datasets.values) {
-      assert(MemoryModel.oomMark(cfg, "mh(Weight)", secondOrder = false) == "", cfg.name)
-      assert(MemoryModel.oomMark(cfg, "mh(Weight)", secondOrder = true) == "", cfg.name)
+      assert(MemoryModel.oomMark(cfg, mh, secondOrder = false) == "", cfg.name)
+      assert(MemoryModel.oomMark(cfg, mh, secondOrder = true) == "", cfg.name)
     }
   }
 
@@ -70,14 +73,8 @@ class MemoryModelSpec extends AnyFunSuite {
     assert(!MemoryModel.Footprint(40L << 30, 40L << 30).oomAt(MemoryModel.PaperServerBytes))
   }
 
-  test("unknown sampler names are rejected") {
-    assertThrows[IllegalArgumentException] {
-      MemoryModel.paperScale(twitter, "bogus", secondOrder = false)
-    }
-  }
-
   test("memory-aware accounting never exceeds the budget") {
-    val fp = MemoryModel.paperScale(webuk, "memory-aware(80MB)", secondOrder = true)
+    val fp = MemoryModel.paperScale(webuk, memoryAware, secondOrder = true)
     assert(fp.total <= MemoryModel.PaperServerBytes)
   }
 }

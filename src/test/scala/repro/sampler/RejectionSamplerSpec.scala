@@ -13,7 +13,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   private val g = TestGraphs.trianglePendant
 
   private def sampler(m: repro.core.RandomWalkModel) = {
-    val f = new RejectionSamplerFactory
+    val f = new KnightKingSamplerFactory(optimized = false)
     f.prepare(g, m, parallel = false)
     (f, f.create(g, m))
   }
@@ -28,13 +28,15 @@ class RejectionSamplerSpec extends AnyFunSuite {
   }
 
   test("node2vec: matches Eq. 2 for several hyper-parameter settings") {
-    for ((p, q) <- Seq((0.25, 4.0), (4.0, 0.25), (1.0, 1.0), (0.5, 2.0))) {
+    // (1, 2) has the positive bias floor KnightKing pre-accepts with.
+    for ((p, q) <- Seq((0.25, 4.0), (4.0, 0.25), (1.0, 1.0), (0.5, 2.0), (1.0, 2.0))) {
       val m = new Node2Vec(p, q)
       val (_, smp) = sampler(m)
       val s = WalkState(1, 0, 0)
       val emp = TestGraphs.empiricalDistribution(g, smp, s, 200_000)
       assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02,
              s"(p,q)=($p,$q)")
+      assert(smp.stats.preAccepts == 0, s"(p,q)=($p,$q)")
     }
   }
 
@@ -44,7 +46,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
     // known, so acceptance = mean(alpha) / max(alpha).
     val star = TestGraphs.starWithWeights(Seq(1, 1, 1, 1))
     val m = new Node2Vec(0.25, 1.0) // return alpha 4, others 1/q = 1
-    val f = new RejectionSamplerFactory
+    val f = new KnightKingSamplerFactory(optimized = false)
     f.prepare(star, m, parallel = false)
     val smp = f.create(star, m)
     val s = WalkState(1, 0, 0)
@@ -72,7 +74,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   test("metapath masking: only matching types are returned, via fallback if needed") {
     val t = TestGraphs.typedGraph
     val m = new MetaPath2Vec(Array(0, 1, 2))
-    val f = new RejectionSamplerFactory
+    val f = new KnightKingSamplerFactory(optimized = false)
     f.prepare(t, m, parallel = false)
     val smp = f.create(t, m)
     val s = WalkState(-1, 0, 0) // target type 1: neighbors 1 and 4 only
@@ -90,6 +92,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   }
 
   test("create before prepare fails fast") {
-    assertThrows[IllegalArgumentException](new RejectionSamplerFactory().create(g, new DeepWalk))
+    assertThrows[IllegalArgumentException](
+      new KnightKingSamplerFactory(optimized = false).create(g, new DeepWalk))
   }
 }
