@@ -21,9 +21,11 @@ final case class WalkState(prev: Int, cur: Int, aux: Int)
   * programming interfaces UniNet exposes. The remaining members support
   * the engine and the comparison samplers:
   *
-  *  - `affixture`/`bucketSize` realize the paper's 2D data layout
-  *    (§IV-C): a state decomposes into *position* (the current node) and
-  *    *affixture* (an index within that node's sampler bucket);
+  *  - `slotBase`/`affixture` realize the paper's 2D data layout (§IV-C):
+  *    a state decomposes into *position* (the current node) and
+  *    *affixture* (an index within that node's bucket), and `slot` maps it
+  *    to one index in [0, `numSlots`) — M-H's flat LAST_x array and the
+  *    precomputed alias tables are indexed by it;
   *  - `bias`/`maxBias` expose w' = bias * w for rejection-style samplers
   *    (rejection, KnightKing, memory-aware) that need an envelope over the
   *    static-weight proposal distribution.
@@ -46,8 +48,20 @@ trait RandomWalkModel extends Serializable {
   /** The state of a fresh walker starting at `start`. */
   def initialState(g: CSRGraph, start: Int): WalkState
 
+  /** First slot of node v's bucket: 0 at v = 0 and non-decreasing, so
+    * node v owns the slots [slotBase(v), slotBase(v + 1)); defined for
+    * v in [0, numNodes].
+    */
+  def slotBase(g: CSRGraph, v: Int): Int
+
   /** Number of distinct affixtures (= samplers) in node v's bucket. */
-  def bucketSize(g: CSRGraph, v: Int): Int
+  final def bucketSize(g: CSRGraph, v: Int): Int = slotBase(g, v + 1) - slotBase(g, v)
+
+  /** Number of slots over all buckets. */
+  final def numSlots(g: CSRGraph): Int = slotBase(g, g.numNodes)
+
+  /** The slot of state `s`, in [0, numSlots). */
+  final def slot(g: CSRGraph, s: WalkState): Int = slotBase(g, s.cur) + affixture(g, s)
 
   /** Index of state `s` within the bucket of node `s.cur`, in
     * [0, bucketSize). For second-order models this is the index of the
@@ -87,9 +101,11 @@ trait RandomWalkModel extends Serializable {
   /** Envelope over `bias` once the outlier edge is excluded. */
   def foldedMaxBias: Double = maxBias
 
-  /** Total number of states over the network — |V| for first-order
-    * models, |E| (directed) for second-order ones (paper Table I).
+  /** Total number of states over the network (paper Table I) — one per
+    * slot for first-order models (|V|, or |V| * |Phi| for metapath2vec),
+    * |E| (directed) for second-order ones, whose prev-less first-step
+    * slots are not counted.
     */
   def numStates(g: CSRGraph): Long =
-    if (isSecondOrder) g.numDirectedEdges.toLong else g.numNodes.toLong
+    if (isSecondOrder) g.numDirectedEdges.toLong else numSlots(g).toLong
 }

@@ -9,7 +9,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.util.LongAccumulator
 
 import repro.graph.CSRGraph
-import repro.sampler.{EdgeSampler, MHSampler, SamplerFactory}
+import repro.sampler.{EdgeSampler, SamplerFactory}
 
 /** Aggregated sampling counters for one walk-generation job, flushed from
   * each partition's [[repro.sampler.LocalStats]] when its task completes.
@@ -25,10 +25,10 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   val initNanos: LongAccumulator = spark.sparkContext.longAccumulator("initNanos")
   val initCount: LongAccumulator = spark.sparkContext.longAccumulator("initCount")
   /** Partition-local sampler bytes the job allocated: lazy alias caches,
-    * plus the LAST_x slots M-H managers newly allocated. Managers are
-    * recycled across tasks, so per JVM this is at most min(partitions,
-    * cores) managers' worth; a factory reused across jobs reports only
-    * the growth of its pooled managers.
+    * plus the LAST_x arrays M-H newly allocated. Those arrays are recycled
+    * across tasks, so per JVM this is at most min(partitions, cores)
+    * arrays' worth; a factory reused across jobs reports nothing for the
+    * arrays already in its pool.
     */
   val localBytes: LongAccumulator = spark.sparkContext.longAccumulator("localBytes")
 
@@ -45,11 +45,7 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
     accepts.add(st.accepts); preAccepts.add(st.preAccepts)
     fallbacks.add(st.fallbacks)
     initNanos.add(st.initNanos); initCount.add(st.initCount)
-    val mgrBytes = sampler match {
-      case m: MHSampler => m.manager.reportNewBytes()
-      case _            => 0L
-    }
-    localBytes.add(st.lazyBytes + mgrBytes)
+    localBytes.add(st.localBytes)
   }
 }
 

@@ -17,7 +17,7 @@ final class DeepWalk extends RandomWalkModel {
 
   override def initialState(g: CSRGraph, start: Int): WalkState = WalkState(-1, start, 0)
 
-  override def bucketSize(g: CSRGraph, v: Int): Int = 1
+  override def slotBase(g: CSRGraph, v: Int): Int = v
   override def affixture(g: CSRGraph, s: WalkState): Int = 0
   override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState = WalkState(-1, v, 0)
 

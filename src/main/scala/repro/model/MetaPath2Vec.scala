@@ -38,10 +38,9 @@ final class MetaPath2Vec(val metapath: Array[Int]) extends RandomWalkModel {
   /** One sampler per (node, metapath position) — |states| = |V| * |Phi|
     * in the paper's Table I accounting.
     */
-  override def bucketSize(g: CSRGraph, v: Int): Int = len
+  override def slotBase(g: CSRGraph, v: Int): Int = v * len
   override def affixture(g: CSRGraph, s: WalkState): Int = math.max(s.aux, 0)
   override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState = WalkState(-1, v, affix)
-  override def numStates(g: CSRGraph): Long = g.numNodes.toLong * len
 
   override val maxBias = 1.0
   // Forbidden edges have bias 0, so no uniform pre-acceptance floor exists.

@@ -42,9 +42,10 @@ abstract class SecondOrderModel(val p: Double, val q: Double) extends RandomWalk
   override final def initialState(g: CSRGraph, start: Int): WalkState = WalkState(-1, start, 0)
 
   /** 2D layout (Fig. 4): one sampler per (v, index-of-s-in-N(v)) plus one
-    * extra slot for the first step's prev-less state.
+    * extra slot for the first step's prev-less state, so node v's bucket
+    * starts at its CSR offset plus one prev-less slot per earlier node.
     */
-  override final def bucketSize(g: CSRGraph, v: Int): Int = g.degree(v) + 1
+  override final def slotBase(g: CSRGraph, v: Int): Int = g.offset(v) + v
 
   override final def affixture(g: CSRGraph, s: WalkState): Int =
     if (s.prev < 0) g.degree(s.cur)

@@ -1,7 +1,6 @@
 package repro.sampler
 
 import java.util.SplittableRandom
-import java.util.concurrent.atomic.AtomicLong
 
 import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.{CSRGraph, DatasetConfig}
@@ -23,39 +22,35 @@ import repro.graph.{CSRGraph, DatasetConfig}
 final class AliasSamplerFactory(val precomputeAll: Boolean) extends SamplerFactory {
   override def name: String = if (precomputeAll) "alias(precompute)" else "alias(lazy)"
 
-  // Shared immutable tables, indexed [node][affixture]; null rows until built.
-  private var tables: Array[Array[AliasTable]] = _
-  private val builtBytes = new AtomicLong(0L)
+  // Shared immutable tables of precompute mode, indexed by `model.slot`;
+  // null for a state with no permitted edge. Lazy mode allocates nothing.
+  private var tables: Array[AliasTable] = _
+  private var builtBytes = 0L
 
   override def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit = {
-    tables = new Array[Array[AliasTable]](g.numNodes)
-    builtBytes.set(0L)
     if (precomputeAll) {
+      val built = new Array[AliasTable](model.numSlots(g))
       SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
-        val bs = model.bucketSize(g, v)
-        val row = new Array[AliasTable](bs)
-        var built = 0
+        val base = model.slotBase(g, v)
         var a = 0
-        while (a < bs) {
-          row(a) = AliasMethod.build(
+        while (a < model.bucketSize(g, v)) {
+          built(base + a) = AliasMethod.build(
             SamplerUtil.dynamicWeights(g, model, model.stateFor(g, v, a)))
-          // A state with no permitted edge keeps a null table and no bytes.
-          if (row(a) != null) built += 1
           a += 1
         }
-        tables(v) = row
-        builtBytes.addAndGet(AliasMethod.tableBytes(g.degree(v)) * built)
       }
+      // A state with no permitted edge keeps a null table and no bytes.
+      builtBytes = built.iterator.filter(_ != null).map(t => AliasMethod.tableBytes(t.size)).sum
+      tables = built
     }
   }
 
   override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
-    require(tables != null, s"$name: prepare() must run before create()")
-    new AliasSampler(g, model, if (precomputeAll) tables else null)
+    require(!precomputeAll || tables != null, s"$name: prepare() must run before create()")
+    new AliasSampler(g, model, tables)
   }
 
-  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
-    if (precomputeAll) builtBytes.get() else 0L
+  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = builtBytes
 
   override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =
     MemoryModel.paperAliasBytes(cfg, secondOrder)
@@ -64,7 +59,7 @@ final class AliasSamplerFactory(val precomputeAll: Boolean) extends SamplerFacto
 final class AliasSampler(
     g: CSRGraph,
     model: RandomWalkModel,
-    shared: Array[Array[AliasTable]], // null => lazy per-partition cache
+    shared: Array[AliasTable], // null => lazy per-partition cache
 ) extends EdgeSampler {
   override val stats = new LocalStats
   private val cache = if (shared == null) new LazyAliasCache(g, model, stats) else null
@@ -74,7 +69,7 @@ final class AliasSampler(
     if (d == 0) return -1
     stats.steps += 1
     stats.trials += 1
-    val t = if (shared != null) shared(s.cur)(model.affixture(g, s)) else cache.table(s)
+    val t = if (shared != null) shared(model.slot(g, s)) else cache.table(s)
     if (t == null) -1 // every dynamic weight is 0 under this state
     else g.offset(s.cur) + t.draw(rng)
   }
@@ -83,7 +78,7 @@ final class AliasSampler(
 /** Per-partition cache of dynamic alias tables, each built the first time
   * its state is visited: the lazy [[AliasSampler]] and the aliased states
   * of [[MemoryAwareSampler]]. Every build adds to `stats.initCount` and
-  * `initNanos`, every kept table to `lazyBytes`. A state with no permitted
+  * `initNanos`, every kept table to `localBytes`. A state with no permitted
   * edge is built once, keeps no bytes, and answers null from then on.
   *
   * The cache belongs to one task's sampler, so its bytes — and with them
@@ -105,7 +100,7 @@ final class LazyAliasCache(g: CSRGraph, model: RandomWalkModel, stats: LocalStat
       stats.initNanos += System.nanoTime() - t0
       stats.initCount += 1
       if (t == null) t = LazyAliasCache.NoEdge
-      else stats.lazyBytes += AliasMethod.tableBytes(g.degree(v))
+      else stats.localBytes += AliasMethod.tableBytes(g.degree(v))
       row(a) = t
     }
     if (t eq LazyAliasCache.NoEdge) null else t

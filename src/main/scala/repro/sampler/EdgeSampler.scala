@@ -11,6 +11,9 @@ import repro.graph.{CSRGraph, DatasetConfig}
   * `trials`/`accepts` give the measured acceptance ratio of
   * rejection-style samplers (Table II); `initNanos` separates lazy
   * initialization work out of the walking phase (Ti vs Tw in Table VI).
+  * `localBytes` is the sampler-private storage this sampler allocated:
+  * lazily built alias tables, or a freshly allocated M-H LAST_x array (a
+  * recycled one adds nothing).
   */
 final class LocalStats {
   var steps: Long = 0
@@ -20,7 +23,7 @@ final class LocalStats {
   var fallbacks: Long = 0
   var initNanos: Long = 0
   var initCount: Long = 0
-  var lazyBytes: Long = 0
+  var localBytes: Long = 0
 }
 
 /** A stateful edge sampler bound to one (graph, model) pair, owned by one

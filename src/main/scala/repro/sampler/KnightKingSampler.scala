@@ -81,9 +81,9 @@ final class KnightKingSampler(
     model: RandomWalkModel,
     proposal: StaticProposal,
     optimized: Boolean,
-    maxTrialsPerDeg: Int = 8,
 ) extends EdgeSampler {
   override val stats = new LocalStats
+  private final val MaxTrialsPerDeg = 8 // proposals per neighbor before a direct draw
   private val foldedEnvelope = model.foldedMaxBias
   private val plainEnvelope = model.maxBias
 
@@ -109,7 +109,7 @@ final class KnightKingSampler(
     }
 
     val preThreshold = if (optimized) model.minBias / envelope else 0.0
-    val cap = maxTrialsPerDeg * d + 16
+    val cap = MaxTrialsPerDeg * d + 16
     var trial = 0
     while (trial < cap) {
       trial += 1

@@ -3,7 +3,7 @@ package repro.sampler
 import java.util.SplittableRandom
 import java.util.concurrent.ConcurrentLinkedQueue
 
-import repro.core.{RandomWalkModel, SamplerManager, WalkState}
+import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.{CSRGraph, DatasetConfig}
 
 /** Initialization strategy for an M-H edge sampler's Markov chain
@@ -41,34 +41,39 @@ final case class BurnInInit(iterations: Int = 100) extends InitStrategy { val na
 final class MHSamplerFactory(val init: InitStrategy) extends SamplerFactory {
   override def name = s"mh(${init.name})"
 
-  /** Idle LAST_x managers, recycled across the walk tasks of one JVM. The
+  /** Idle LAST_x arrays, recycled across the walk tasks of one JVM. The
     * field is not serialized, so each executor's copy of the broadcast
     * factory starts with an empty pool (in local mode every task sees the
-    * driver's instance). A task returns its manager when it completes, so
-    * a JVM holds at most one manager per task slot, not one per partition.
+    * driver's instance). A task returns its array when it completes, so a
+    * JVM holds at most one array per task slot, not one per partition.
     */
-  @transient private lazy val pool = new ConcurrentLinkedQueue[SamplerManager]
+  @transient private lazy val pool = new ConcurrentLinkedQueue[Array[Int]]
 
-  /** Takes an idle manager of this graph and layout from the pool, reset
-    * so every chain starts fresh, or allocates a new one; managers of
-    * another graph or layout are dropped.
+  /** Takes an idle array of `numSlots` entries from the pool, or allocates
+    * one and charges its bytes to the new sampler's `localBytes`; pooled
+    * arrays of another length are dropped. Every slot starts at -1, so
+    * each chain starts fresh whatever graph the array served before.
     */
   override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
-    val layout: Int => Int = v => model.bucketSize(g, v)
-    var mgr = pool.poll()
-    while (mgr != null && !((mgr.graph eq g) && mgr.reset(layout))) mgr = pool.poll()
-    new MHSampler(g, model, init, if (mgr != null) mgr else new SamplerManager(g, layout))
+    val n = model.numSlots(g)
+    var slots = pool.poll()
+    while (slots != null && slots.length != n) slots = pool.poll()
+    val sampler = new MHSampler(g, model, init, if (slots != null) slots else new Array[Int](n))
+    if (slots == null) sampler.stats.localBytes = 4L * n
+    java.util.Arrays.fill(sampler.slots, -1)
+    sampler
   }
 
   override def release(sampler: EdgeSampler): Unit = sampler match {
-    case s: MHSampler => pool.offer(s.manager)
+    case s: MHSampler => pool.offer(s.slots)
     case _            =>
   }
 
-  /** Worst-case LAST_x bytes of one manager: every state visited, 4 bytes
-    * per state. Managers are allocated lazily and recycled per task slot,
-    * so a walk job holds at most min(partitions, cores) of them per JVM;
-    * what they really allocate is the job's `localBytes`.
+  /** LAST_x bytes at the paper's accounting, 4 bytes per state. A walk
+    * task's array also has one prev-less slot per node for second-order
+    * models, and arrays are recycled per task slot, so a walk job holds at
+    * most min(partitions, cores) of them per JVM; what it really allocates
+    * is the job's `localBytes`.
     */
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
     4L * model.numStates(g)
@@ -81,11 +86,10 @@ final class MHSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     init: InitStrategy,
-    val manager: SamplerManager,
+    // LAST_x of every state, indexed by `model.slot`; -1 = uninitialized.
+    val slots: Array[Int],
 ) extends EdgeSampler {
   override val stats = new LocalStats
-
-  def managerBytes: Long = manager.memoryBytes
 
   /** Uniform draw of a permitted (w' > 0) edge of N(v): up to 32 random
     * probes, then one reservoir-sampling pass over N(v), which keeps the
@@ -160,9 +164,8 @@ final class MHSampler(
     val d = g.degree(v)
     if (d == 0) return -1
     stats.steps += 1
-    val bucket = manager.bucket(v)
-    val a = model.affixture(g, s)
-    var last = bucket(a)
+    val x = model.slot(g, s)
+    var last = slots(x)
     if (last < 0) {
       val t0 = System.nanoTime()
       last = initialEdge(s, rng)
@@ -181,7 +184,7 @@ final class MHSampler(
         stats.accepts += 1
       }
     }
-    bucket(a) = last
+    slots(x) = last
     last
   }
 }

@@ -72,13 +72,21 @@ class Node2VecSpec extends AnyFunSuite {
   }
 
   test("stateFor is the inverse of affixture") {
-    // The whole node2vec family shares one layout (SecondOrderModel).
-    val models = Seq(new Node2Vec(1, 1), Edge2Vec(0.5, 2.0), new FairWalk(2.0, 0.5))
-    for (graph <- Seq(g, TestGraphs.typedGraph); m <- models; v <- 0 until graph.numNodes) {
-      for (a <- 0 until m.bucketSize(graph, v)) {
+    val secondOrder = Seq(new Node2Vec(1, 1), Edge2Vec(0.5, 2.0), new FairWalk(2.0, 0.5))
+    val models = Seq(new DeepWalk, new MetaPath2Vec(Array(0, 1, 2))) ++ secondOrder
+    for (graph <- Seq(g, TestGraphs.typedGraph); m <- models) {
+      val slots = for (v <- 0 until graph.numNodes; a <- 0 until m.bucketSize(graph, v)) yield {
         val s = m.stateFor(graph, v, a)
         assert(m.affixture(graph, s) == a, s"${m.name} v=$v a=$a")
+        assert(m.slot(graph, s) == m.slotBase(graph, v) + a, s"${m.name} v=$v a=$a")
+        m.slot(graph, s)
       }
+      // The buckets tile [0, numSlots) in node order, no gap or overlap.
+      assert(slots == (0 until m.numSlots(graph)), m.name)
+    }
+    // The node2vec family (SecondOrderModel) keeps the first step's
+    // prev-less state in the last slot of each bucket.
+    for (graph <- Seq(g, TestGraphs.typedGraph); m <- secondOrder; v <- 0 until graph.numNodes) {
       assert(m.stateFor(graph, v, graph.degree(v)) == WalkState(-1, v, 0), m.name)
       assert(m.initialState(graph, v) == WalkState(-1, v, 0), m.name)
       assert(m.affixture(graph, m.initialState(graph, v)) == graph.degree(v), m.name)

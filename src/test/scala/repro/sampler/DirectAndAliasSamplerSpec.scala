@@ -91,7 +91,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     val emp = TestGraphs.empiricalDistribution(g, sampler, s, 150_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
     assert(sampler.stats.initCount == 1) // single state touched -> one build
-    assert(sampler.stats.lazyBytes == AliasMethod.tableBytes(g.degree(0)))
+    assert(sampler.stats.localBytes == AliasMethod.tableBytes(g.degree(0)))
   }
 
   test("lazy caches build a state with no permitted edge once") {
@@ -108,7 +108,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
       val rng = new SplittableRandom(5)
       (0 until 10).foreach(_ => assert(sampler.sample(s, rng) == -1, f.name))
       assert(sampler.stats.initCount == 1, f.name)
-      assert(sampler.stats.lazyBytes == 0L, f.name)
+      assert(sampler.stats.localBytes == 0L, f.name)
     }
   }
 

@@ -100,9 +100,10 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     smp.sample(WalkState(1, 0, 0), rng)
     smp.sample(WalkState(2, 0, 0), rng)
     assert(smp.stats.initCount == 2) // two distinct states touched
-    assert(smp.managerBytes == 4L * (g.degree(0) + 1)) // one bucket allocated
+    // A fresh sampler allocates its whole flat LAST_x array up front.
+    assert(smp.stats.localBytes == 4L * m.numSlots(g))
     smp.sample(WalkState(0, 1, 0), rng)
-    assert(smp.managerBytes == 4L * (g.degree(0) + 1) + 4L * (g.degree(1) + 1))
+    assert(smp.stats.localBytes == 4L * m.numSlots(g))
   }
 
   test("released managers are recycled, reset, only into the same layout") {
@@ -113,13 +114,25 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     a.sample(WalkState(-1, 0, 0), rng)
     f.release(a)
     val b = f.create(g, new DeepWalk).asInstanceOf[MHSampler]
-    assert(b.manager eq a.manager)
-    assert(b.manager.bucket(0)(0) == -1)
+    assert(b.slots eq a.slots)
+    assert(b.slots.forall(_ == -1))
+    (0 until g.numNodes).foreach(v => b.sample(WalkState(-1, v, 0), rng))
     f.release(b)
-    // Deepwalk's one-slot buckets do not fit node2vec's deg + 1 layout.
-    val c = f.create(g, new Node2Vec(1, 1)).asInstanceOf[MHSampler]
-    assert(!(c.manager eq a.manager))
-    assert(c.sample(WalkState(1, 0, 0), rng) >= 0)
+    // Another graph with as many slots takes the dirty array and draws
+    // exactly what a fresh factory's sampler draws.
+    val star = TestGraphs.starWithWeights(Seq(1, 5, 2))
+    def draws(smp: EdgeSampler): Seq[Int] = {
+      val r = new SplittableRandom(9)
+      (0 until 200).map(i => smp.sample(WalkState(-1, i % star.numNodes, 0), r))
+    }
+    val c = f.create(star, new DeepWalk).asInstanceOf[MHSampler]
+    assert(c.slots eq a.slots)
+    assert(draws(c) == draws(make(star, new DeepWalk)))
+    f.release(c)
+    // Deepwalk's |V| slots do not fit node2vec's |E| + |V| layout.
+    val d = f.create(g, new Node2Vec(1, 1)).asInstanceOf[MHSampler]
+    assert(!(d.slots eq a.slots))
+    assert(d.sample(WalkState(1, 0, 0), rng) >= 0)
   }
 
   test("acceptance is perfect for uniform targets, partial for skewed ones") {

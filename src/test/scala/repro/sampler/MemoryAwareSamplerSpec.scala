@@ -66,7 +66,7 @@ class MemoryAwareSamplerSpec extends AnyFunSuite {
     for (v <- 0 until g.numNodes; if g.degree(v) > 0) {
       smp.sample(WalkState(g.dst(g.offset(v)), v, 0), rng)
     }
-    assert(smp.stats.lazyBytes <= budget)
+    assert(smp.stats.localBytes <= budget)
   }
 
   test("distribution correctness on a budget boundary mix") {
