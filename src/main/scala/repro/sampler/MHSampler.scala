@@ -90,6 +90,7 @@ final class MHSampler(
     val slots: Array[Int],
 ) extends EdgeSampler {
   override val stats = new LocalStats
+  private final val NoEdge = -2 // LAST_x of an initialized state that permits no edge
 
   /** Uniform draw of a permitted (w' > 0) edge of N(v): up to 32 random
     * probes, then one reservoir-sampling pass over N(v), which keeps the
@@ -167,11 +168,12 @@ final class MHSampler(
     val x = model.slot(g, s)
     var last = slots(x)
     if (last < 0) {
+      if (last == NoEdge) return -1
       val t0 = System.nanoTime()
       last = initialEdge(s, rng)
       stats.initNanos += System.nanoTime() - t0
       stats.initCount += 1
-      if (last < 0) return -1 // no permitted edge: the walk is stuck
+      if (last < 0) { slots(x) = NoEdge; return -1 } // no permitted edge: the walk is stuck
     }
     // Draw a uniform candidate and accept with min{1, w'(cand)/w'(last)}.
     stats.trials += 1

@@ -86,6 +86,23 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     assert(make(g, m).sample(s, new SplittableRandom(1)) == -1)
   }
 
+  test("a state with no permitted edge is initialized once") {
+    // Path 0-1-2 typed 0,1,0: node 0 has no type-0 neighbor, so the
+    // metapath 0-0 dead-ends there; typedGraph's node 2 is off the path 0-1.
+    val path = GraphGen.fromTriples(3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array[Byte](0, 1, 0), 2)
+    val deadEnd = new MetaPath2Vec(Array(0, 0))
+    val offPath = new MetaPath2Vec(Array(0, 1))
+    val cases = Seq((path, deadEnd, deadEnd.initialState(path, 0)),
+                    (TestGraphs.typedGraph, offPath, offPath.initialState(TestGraphs.typedGraph, 2)))
+    for ((g, m, s) <- cases; init <- Seq(RandomInit, HighWeightInit(), BurnInInit(10))) {
+      val smp = make(g, m, init)
+      val rng = new SplittableRandom(5)
+      (0 until 10).foreach(_ => assert(smp.sample(s, rng) == -1, s"${m.name} $init"))
+      assert(smp.stats.initCount == 1, s"${m.name} $init")
+      assert(smp.stats.steps == 10, s"${m.name} $init")
+    }
+  }
+
   test("isolated nodes return -1") {
     val iso = repro.graph.CSRGraph.fromUndirectedEdges(3, Array(0), Array(1), Array(1f))
     assert(make(iso, new DeepWalk).sample(WalkState(-1, 2, 0), new SplittableRandom(1)) == -1)
