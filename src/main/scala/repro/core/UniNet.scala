@@ -13,6 +13,7 @@ import repro.sampler.{EdgeSampler, SamplerFactory}
 
 /** Aggregated sampling counters for one walk-generation job, flushed from
   * each partition's [[repro.sampler.LocalStats]] when its task completes.
+  * KnightKing's `preAccepts` stays per sampler: no job-level reader needs it.
   */
 final class WalkAccumulators(@transient spark: SparkSession) extends Serializable {
   // Note: only the accumulators may become fields — a captured
@@ -20,15 +21,13 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   val steps: LongAccumulator = spark.sparkContext.longAccumulator("steps")
   val trials: LongAccumulator = spark.sparkContext.longAccumulator("trials")
   val accepts: LongAccumulator = spark.sparkContext.longAccumulator("accepts")
-  val preAccepts: LongAccumulator = spark.sparkContext.longAccumulator("preAccepts")
-  val fallbacks: LongAccumulator = spark.sparkContext.longAccumulator("fallbacks")
   val initNanos: LongAccumulator = spark.sparkContext.longAccumulator("initNanos")
   val initCount: LongAccumulator = spark.sparkContext.longAccumulator("initCount")
-  /** Partition-local sampler bytes the job allocated: lazy alias caches,
-    * plus the LAST_x arrays M-H newly allocated. Those arrays are recycled
-    * across tasks, so per JVM this is at most min(partitions, cores)
-    * arrays' worth; a factory reused across jobs reports nothing for the
-    * arrays already in its pool.
+  /** Partition-local sampler bytes the job allocated: memory-aware's lazy
+    * alias tables, plus the LAST_x arrays M-H newly allocated. Those
+    * arrays are recycled across tasks, so per JVM this is at most
+    * min(partitions, cores) arrays' worth; a factory reused across jobs
+    * reports nothing for the arrays already in its pool.
     */
   val localBytes: LongAccumulator = spark.sparkContext.longAccumulator("localBytes")
 
@@ -42,8 +41,7 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   private[core] def flush(sampler: EdgeSampler): Unit = {
     val st = sampler.stats
     steps.add(st.steps); trials.add(st.trials)
-    accepts.add(st.accepts); preAccepts.add(st.preAccepts)
-    fallbacks.add(st.fallbacks)
+    accepts.add(st.accepts)
     initNanos.add(st.initNanos); initCount.add(st.initCount)
     localBytes.add(st.localBytes)
   }
@@ -54,8 +52,8 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   * The CSR network is broadcast once; walkers are a range RDD of
   * (startNode, walkIndex) pairs, split over `numPartitions` partitions.
   * Each partition instantiates one edge sampler from the (broadcast,
-  * already-prepared) factory — sampler state such as LAST_x or lazy alias
-  * caches is partition-local, mirroring the paper's per-thread walkers:
+  * already-prepared) factory — sampler state such as LAST_x or
+  * memory-aware's lazy alias tables is partition-local, mirroring the paper's per-thread walkers:
   * the per-state Markov chains of different partitions are independent,
   * which preserves the M-H convergence argument. The sampler goes back to
   * the factory when its task completes; M-H recycles the LAST_x storage,

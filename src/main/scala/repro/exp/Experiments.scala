@@ -29,7 +29,7 @@ object Experiments {
     * the direct sampler for the other four.
     */
   def origFactory(model: RandomWalkModel): SamplerFactory = model match {
-    case _: Node2Vec => new AliasSamplerFactory(precomputeAll = true)
+    case _: Node2Vec => new AliasSamplerFactory
     case _           => DirectSamplerFactory
   }
 

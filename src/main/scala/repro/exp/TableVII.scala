@@ -25,7 +25,7 @@ object TableVII {
     * per-graph to UniNet's own consumption, as in the paper.
     */
   def samplerRows(budget: Long): Seq[(String, () => SamplerFactory)] = Seq(
-    "Alias"          -> (() => new AliasSamplerFactory(precomputeAll = true)),
+    "Alias"          -> (() => new AliasSamplerFactory),
     "Rejection"      -> (() => new KnightKingSamplerFactory(optimized = false)),
     "KnightKing"     -> (() => new KnightKingSamplerFactory),
     "Memory-Aware"   -> (() => new MemoryAwareSamplerFactory(budget)),

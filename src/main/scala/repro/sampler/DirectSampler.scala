@@ -22,13 +22,8 @@ object DirectSamplerFactory extends SamplerFactory {
   override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long = 0L
 }
 
-final class DirectSampler(g: CSRGraph, model: RandomWalkModel) extends EdgeSampler {
-  override val stats = new LocalStats
-
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
-    val d = g.degree(s.cur)
-    if (d == 0) return -1
-    stats.steps += 1
+final class DirectSampler(g: CSRGraph, model: RandomWalkModel) extends EdgeSampler(g) {
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     stats.trials += d // O(deg) weight evaluations per draw
     SamplerUtil.directDraw(g, model, s, rng)
   }

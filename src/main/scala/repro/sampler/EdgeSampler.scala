@@ -9,18 +9,18 @@ import repro.graph.{CSRGraph, DatasetConfig}
   * accumulators when the partition's task completes (see
   * UniNet.generateWalksPrepared).
   * `trials`/`accepts` give the measured acceptance ratio of
-  * rejection-style samplers (Table II); `initNanos` separates lazy
-  * initialization work out of the walking phase (Ti vs Tw in Table VI).
-  * `localBytes` is the sampler-private storage this sampler allocated:
-  * lazily built alias tables, or a freshly allocated M-H LAST_x array (a
-  * recycled one adds nothing).
+  * rejection-style samplers and M-H (Table II); `preAccepts` counts
+  * KnightKing's accepts that skipped the weight. `initNanos` separates
+  * lazy initialization work out of the walking phase (Ti vs Tw in
+  * Table VI). `localBytes` is the sampler-private storage this sampler
+  * allocated: memory-aware's lazily built alias tables, or a freshly
+  * allocated M-H LAST_x array (a recycled one adds nothing).
   */
 final class LocalStats {
   var steps: Long = 0
   var trials: Long = 0
   var accepts: Long = 0
   var preAccepts: Long = 0
-  var fallbacks: Long = 0
   var initNanos: Long = 0
   var initCount: Long = 0
   var localBytes: Long = 0
@@ -29,11 +29,21 @@ final class LocalStats {
 /** A stateful edge sampler bound to one (graph, model) pair, owned by one
   * walker-executing partition. `sample` returns the chosen *global edge
   * index* (the next step is its destination), or -1 when the state admits
-  * no edge and the walk must terminate.
+  * no edge and the walk must terminate. A node of degree 0 returns -1 and
+  * counts nothing; any other call counts one step and asks `draw`.
   */
-trait EdgeSampler {
-  def sample(s: WalkState, rng: SplittableRandom): Int
-  def stats: LocalStats
+abstract class EdgeSampler(g: CSRGraph) {
+  final val stats = new LocalStats
+
+  final def sample(s: WalkState, rng: SplittableRandom): Int = {
+    val d = g.degree(s.cur)
+    if (d == 0) return -1
+    stats.steps += 1
+    draw(s, d, rng)
+  }
+
+  /** One draw at state `s`, whose node has degree `d` > 0. */
+  protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int
 }
 
 /** Factory for [[EdgeSampler]]s. `prepare` runs once on the driver and

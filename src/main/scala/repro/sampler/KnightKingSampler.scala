@@ -81,17 +81,13 @@ final class KnightKingSampler(
     model: RandomWalkModel,
     proposal: StaticProposal,
     optimized: Boolean,
-) extends EdgeSampler {
-  override val stats = new LocalStats
+) extends EdgeSampler(g) {
   private final val MaxTrialsPerDeg = 8 // proposals per neighbor before a direct draw
   private val foldedEnvelope = model.foldedMaxBias
   private val plainEnvelope = model.maxBias
 
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     val v = s.cur
-    val d = g.degree(v)
-    if (d == 0) return -1
-    stats.steps += 1
     val t = proposal.tables(v)
     if (t == null) return -1
     val lo = g.offset(v)
@@ -139,7 +135,6 @@ final class KnightKingSampler(
         }
       }
     }
-    stats.fallbacks += 1
     SamplerUtil.directDraw(g, model, s, rng)
   }
 }

@@ -88,8 +88,7 @@ final class MHSampler(
     init: InitStrategy,
     // LAST_x of every state, indexed by `model.slot`; -1 = uninitialized.
     val slots: Array[Int],
-) extends EdgeSampler {
-  override val stats = new LocalStats
+) extends EdgeSampler(g) {
   private final val NoEdge = -2 // LAST_x of an initialized state that permits no edge
 
   /** Uniform draw of a permitted (w' > 0) edge of N(v): up to 32 random
@@ -160,11 +159,7 @@ final class MHSampler(
   }
 
   /** Alg. 1: one M-H transition of state x's chain, returning LAST_x. */
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
-    val v = s.cur
-    val d = g.degree(v)
-    if (d == 0) return -1
-    stats.steps += 1
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     val x = model.slot(g, s)
     var last = slots(x)
     if (last < 0) {
@@ -177,7 +172,7 @@ final class MHSampler(
     }
     // Draw a uniform candidate and accept with min{1, w'(cand)/w'(last)}.
     stats.trials += 1
-    val cand = g.offset(v) + rng.nextInt(d)
+    val cand = g.offset(s.cur) + rng.nextInt(d)
     val wc = model.calculateWeight(g, s, cand)
     if (wc > 0) {
       val wl = model.calculateWeight(g, s, last)

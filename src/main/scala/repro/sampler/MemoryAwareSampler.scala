@@ -18,9 +18,9 @@ import repro.graph.{CSRGraph, DatasetConfig}
   * which is exactly why it survives Web-UK in Tables VI/VII while being
   * slower than the O(1) samplers when the budget falls short.
   *
-  * The lazy tables live in each partition's [[LazyAliasCache]], so
-  * `budgetBytes` bounds the alias bytes of one walk task, not of the whole
-  * job: a job whose tasks visit the same states builds them once per task.
+  * The lazy tables live in each partition's sampler, so `budgetBytes`
+  * bounds the alias bytes of one walk task, not of the whole job. With an
+  * unbounded budget it is the lazy form of [[AliasSamplerFactory]].
   */
 final class MemoryAwareSamplerFactory(val budgetBytes: Long) extends SamplerFactory {
   override def name = s"memory-aware(${budgetBytes / (1L << 20)}MB)"
@@ -62,21 +62,32 @@ final class MemoryAwareSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     aliasEnabled: Array[Boolean],
-) extends EdgeSampler {
-  override val stats = new LocalStats
-  private val cache = new LazyAliasCache(g, model, stats)
+) extends EdgeSampler(g) {
+  // rows(v)(affixture): the table of each visited aliased state, built on
+  // first visit; a state with no permitted edge keeps NoEdge and no bytes.
+  private val rows = new Array[Array[AliasTable]](g.numNodes)
+  private val NoEdge = new AliasTable(Array.emptyDoubleArray, Array.emptyIntArray)
 
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     val v = s.cur
-    val d = g.degree(v)
-    if (d == 0) return -1
-    stats.steps += 1
     if (!aliasEnabled(v)) {
       stats.trials += d
       return SamplerUtil.directDraw(g, model, s, rng)
     }
     stats.trials += 1
-    val t = cache.table(s)
-    if (t == null) -1 else g.offset(v) + t.draw(rng)
+    var row = rows(v)
+    if (row == null) { row = new Array[AliasTable](model.bucketSize(g, v)); rows(v) = row }
+    val a = model.affixture(g, s)
+    var t = row(a)
+    if (t == null) {
+      val t0 = System.nanoTime()
+      t = AliasMethod.build(SamplerUtil.dynamicWeights(g, model, s))
+      stats.initNanos += System.nanoTime() - t0
+      stats.initCount += 1
+      if (t == null) t = NoEdge
+      else stats.localBytes += AliasMethod.tableBytes(d)
+      row(a) = t
+    }
+    if (t eq NoEdge) -1 else g.offset(v) + t.draw(rng)
   }
 }

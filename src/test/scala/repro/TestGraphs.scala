@@ -35,8 +35,10 @@ object TestGraphs {
       (3, 4, 1.0), (4, 5, 1.0)), types, 3)
   }
 
-  /** Deterministic small power-law-ish graph for statistical tests. */
-  def mediumGraph(n: Int = 200, mult: Int = 4, seed: Long = 5): CSRGraph = {
+  /** Deterministic small power-law-ish graph for statistical tests; with
+    * `numTypes` > 1, node v has type v % numTypes.
+    */
+  def mediumGraph(n: Int = 200, mult: Int = 4, seed: Long = 5, numTypes: Int = 1): CSRGraph = {
     val rng = new SplittableRandom(seed)
     val edges = scala.collection.mutable.LinkedHashSet[(Int, Int)]()
     // Ring for connectivity, plus preferential-ish random chords.
@@ -47,7 +49,8 @@ object TestGraphs {
       if (a != b) edges += ((math.min(a, b), math.max(a, b)))
     }
     val es = edges.toSeq.map { case (u, v) => (u, v, 0.5 + ((u * 31 + v * 17) % 100) / 100.0) }
-    GraphGen.fromTriples(n, es)
+    if (numTypes == 1) GraphGen.fromTriples(n, es)
+    else GraphGen.fromTriples(n, es, Array.tabulate(n)(v => (v % numTypes).toByte), numTypes)
   }
 
   /** Normalized target transition distribution of state `s` under `model`:

@@ -27,7 +27,7 @@ class PipelineSpec extends SparkSpec {
 
   test("precompute-all alias attributes its build to Ti, not Tw") {
     val m = new Node2Vec(0.5, 2.0)
-    val r = Pipeline.run(spark, bcG, m, new AliasSamplerFactory(precomputeAll = true),
+    val r = Pipeline.run(spark, bcG, m, new AliasSamplerFactory,
                          RunConfig(numWalks = 1, walkLen = 5, partitions = 2))
     assert(r.times.tInit > 0)
     assert(r.samplerSharedBytes > 0)

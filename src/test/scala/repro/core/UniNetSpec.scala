@@ -107,7 +107,7 @@ class UniNetSpec extends SparkSpec {
     assert(acc.steps.value == w.length - 1)
   }
 
-  test("recycled M-H managers reproduce a fresh factory's walks") {
+  test("recycled M-H LAST_x arrays reproduce a fresh factory's walks") {
     val m = new Node2Vec(0.5, 2.0)
     val bcF = bcMH()
     def run(bc: Broadcast[SamplerFactory], parts: Int, seed: Long) = {
@@ -123,7 +123,7 @@ class UniNetSpec extends SparkSpec {
     val slots = math.min(4, spark.sparkContext.defaultParallelism)
     assert(dirtyBytes + reusedBytes <= slots * perManager)
     // A 1-partition job repeated on the same factory touches the same
-    // states, so its recycled manager allocates nothing new.
+    // states, so its recycled array allocates nothing new.
     val bc1 = bcMH()
     val (once, onceBytes) = run(bc1, 1, 7L)
     val (twice, twiceBytes) = run(bc1, 1, 7L)

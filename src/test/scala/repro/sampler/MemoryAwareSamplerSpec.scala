@@ -38,6 +38,7 @@ class MemoryAwareSamplerSpec extends AnyFunSuite {
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.03)
     assert(smp.stats.trials == 100_000L)
     assert(smp.stats.initCount == 1) // one lazy table for the single state
+    assert(smp.stats.localBytes == AliasMethod.tableBytes(g.degree(0)))
   }
 
   test("assignment is greedy by degree: partial budgets alias the hubs first") {

@@ -12,7 +12,7 @@ class MemoryModelSpec extends AnyFunSuite {
   private val webuk = GraphGen.datasets("Web-UK")
   private val youtube = GraphGen.datasets("YouTube")
   private val flickr = GraphGen.datasets("Flickr")
-  private val aliasPre = new AliasSamplerFactory(precomputeAll = true)
+  private val aliasPre = new AliasSamplerFactory
   private val mh = new MHSamplerFactory(HighWeightInit())
   private val memoryAware = new MemoryAwareSamplerFactory(80L << 20)
 
