@@ -40,7 +40,10 @@ final class MetaPath2Vec(val metapath: Array[Int]) extends RandomWalkModel {
     */
   override def slotBase(g: CSRGraph, v: Int): Int = v * len
   override def affixture(g: CSRGraph, s: WalkState): Int = math.max(s.aux, 0)
-  override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState = WalkState(-1, v, affix)
+  // Slot 0 of a node off the metapath only ever holds its stuck start state.
+  override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState =
+    if (affix == 0 && !metapath.contains(g.nodeType(v))) initialState(g, v)
+    else WalkState(-1, v, affix)
 
   override val maxBias = 1.0
   // Forbidden edges have bias 0, so no uniform pre-acceptance floor exists.

@@ -82,6 +82,17 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     assert(f.memoryBytes(g, m) == expected)
   }
 
+  test("precompute alias stops a metapath walk that starts off the path") {
+    val t = TestGraphs.typedGraph
+    val m = new MetaPath2Vec(Array(0, 1))
+    val s = m.initialState(t, 2) // type 2 not on the path: everything masked
+    val f = new AliasSamplerFactory
+    f.prepare(t, m, parallel = false)
+    val sampler = f.create(t, m)
+    val rng = new SplittableRandom(5)
+    (0 until 5).foreach(_ => assert(sampler.sample(s, rng) == -1))
+  }
+
   test("lazy caches build a state with no permitted edge once") {
     // Path 0-1-2 typed 0,1,0: node 0 has no type-0 neighbor, so the
     // metapath 0-0 dead-ends there.
