@@ -52,8 +52,8 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   * The CSR network is broadcast once; walkers are a range RDD of
   * (startNode, walkIndex) pairs, split over `numPartitions` partitions.
   * Each partition instantiates one edge sampler from the (broadcast,
-  * already-prepared) factory — sampler state such as LAST_x or
-  * memory-aware's lazy alias tables is partition-local, mirroring the paper's per-thread walkers:
+  * already-prepared) factory — sampler state such as LAST_x or lazy alias
+  * tables is partition-local, mirroring the paper's per-thread walkers:
   * the per-state Markov chains of different partitions are independent,
   * which preserves the M-H convergence argument. The sampler goes back to
   * the factory when its task completes; M-H recycles the LAST_x storage,
