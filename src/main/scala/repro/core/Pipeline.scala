@@ -31,10 +31,9 @@ final case class RunResult(
   def trialsPerStep: Double = if (steps == 0) Double.NaN else trials.toDouble / steps
 }
 
-/** Execution parameters of one run.
-  *
-  * `parallelPrepare = false` + `partitions = 1` + `learnPartitions = 1`
-  * emulate the single-threaded open-sourced reference implementations;
+/** Execution parameters of one run. `partitions` sets all of its
+  * parallelism: `partitions = 1` prepares, walks and learns on one thread,
+  * emulating the single-threaded open-sourced reference implementations;
   * UniNet runs use the paper's default parallelism of 16.
   */
 final case class RunConfig(
@@ -43,9 +42,6 @@ final case class RunConfig(
     partitions: Int = 16,
     seed: Long = 1L,
     learn: Boolean = false,
-    dim: Int = 16,
-    learnPartitions: Int = 8,
-    parallelPrepare: Boolean = true,
 )
 
 /** End-to-end NRL pipeline with the paper's phase accounting:
@@ -55,7 +51,7 @@ final case class RunConfig(
   *    performed inside the walk job (M-H first-touch inits, lazy alias
   *    builds) — the paper likewise separates initialization from walking;
   *  - Tw: wall time of the walk job minus that lazy-init share;
-  *  - Tl: wall time of the word2vec fit.
+  *  - Tl: wall time of the word2vec fit on min(partitions, cores) threads.
   */
 object Pipeline {
 
@@ -76,7 +72,7 @@ object Pipeline {
     val g = bcGraph.value
 
     val t0 = System.nanoTime()
-    factory.prepare(g, model, cfg.parallelPrepare)
+    factory.prepare(g, model, parallel = cfg.partitions > 1)
     // Shipping the prepared tables to the workers is initialization work.
     val bcFactory = spark.sparkContext.broadcast(factory: SamplerFactory)
     val prepSec = (System.nanoTime() - t0) / 1e9
@@ -88,8 +84,8 @@ object Pipeline {
     val walkCount = walks.count()
     val walkWallSec = (System.nanoTime() - t1) / 1e9
 
-    val lazyInitSec = lazyInitSeconds(
-      acc.initNanos.value, cfg.partitions, spark.sparkContext.defaultParallelism)
+    val cores = spark.sparkContext.defaultParallelism
+    val lazyInitSec = lazyInitSeconds(acc.initNanos.value, cfg.partitions, cores)
     val tInit = prepSec + lazyInitSec
     val tWalk = math.max(0.0, walkWallSec - lazyInitSec)
 
@@ -99,7 +95,7 @@ object Pipeline {
       if (!cfg.learn) 0.0
       else {
         val t2 = System.nanoTime()
-        Word2VecTrainer.train(walks, dim = cfg.dim, numPartitions = cfg.learnPartitions,
+        Word2VecTrainer.train(walks, numPartitions = math.min(cfg.partitions, cores),
                               seed = cfg.seed)
         (System.nanoTime() - t2) / 1e9
       }

@@ -62,8 +62,8 @@ object Word2VecTrainer {
     */
   def train(
       walks: RDD[Array[Int]],
+      numPartitions: Int,
       dim: Int = 16,
-      numPartitions: Int = 8,
       iterations: Int = 1,
       window: Int = 5,
       seed: Long = 42L,

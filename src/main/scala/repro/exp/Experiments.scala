@@ -24,6 +24,9 @@ object Experiments {
   /** The paper's default parallelism. */
   val Parallelism = 16
 
+  /** Timed runs per cell of Tables II and VII after a warm-up; cells keep the minimum. */
+  val Repeats = 2
+
   /** The sampling method each model's reference implementation uses
     * (paper §V-C): alias with full per-state precomputation for node2vec,
     * the direct sampler for the other four.

@@ -26,18 +26,19 @@ object TableII {
 
   final case class Row(p: Double, q: Double, timeSec: Double, acRatio: Double, timeRatio: Double)
 
-  def run(spark: SparkSession, dataset: String = "Flickr",
-          numWalks: Int = 10, walkLen: Int = 80, seed: Long = 7L,
-          repeats: Int = 2): Seq[Row] = {
-    val (_, bcG) = Experiments.broadcastDataset(spark, dataset)
+  val Seed = 7L
+
+  /** The paper's 10 walks of length 80 per node, `Experiments.Repeats` runs per (p, q). */
+  def run(spark: SparkSession): Seq[Row] = {
+    val (_, bcG) = Experiments.broadcastDataset(spark, "Flickr")
     try {
       def once(p: Double, q: Double) = repro.core.Pipeline.run(
         spark, bcG, new Node2Vec(p, q), new KnightKingSamplerFactory(optimized = false),
-        RunConfig(numWalks = numWalks, walkLen = walkLen,
-                  partitions = Experiments.Parallelism, seed = seed))
+        RunConfig(Experiments.PaperWalks, Experiments.PaperWalkLen,
+                  partitions = Experiments.Parallelism, seed = Seed))
       once(1.0, 1.0) // discarded warm-up: JIT-compile the sampling loops
       val raw = Configs.map { case (p, q) =>
-        val runs = (1 to repeats).map(_ => once(p, q))
+        val runs = (1 to Experiments.Repeats).map(_ => once(p, q))
         // Min wall time de-noises scheduler jitter; acceptance is stable.
         (p, q, runs.map(_.times.tWalk).min, runs.last.acceptanceRatio)
       }

@@ -17,8 +17,8 @@ object TableV {
   final case class Row(stats: DatasetStats, paperNodes: Long, paperEdges: Long,
                        paperMeanDegree: Double)
 
-  def run(spark: SparkSession, names: Seq[String] = Order): Seq[Row] =
-    names.map { n =>
+  def run(spark: SparkSession): Seq[Row] =
+    Order.map { n =>
       val cfg = GraphGen.datasets(n)
       Row(GraphStats.forConfig(spark, cfg), cfg.paperNodes, cfg.paperEdges, cfg.paperMeanDegree)
     }

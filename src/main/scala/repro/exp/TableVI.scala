@@ -98,10 +98,14 @@ object TableVI {
   private def isBig(dataset: String): Boolean =
     GraphGen.datasets(dataset).numNodes >= 100000
 
-  def run(spark: SparkSession, numWalks: Int = 2, walkLen: Int = 20,
-          seed: Long = 11L, learn: Boolean = true,
-          benchmarks: Seq[ModelBench] = Benchmarks): Seq[Row] = {
-    benchmarks.flatMap { mb =>
+  /** Walks per node and walk length of a -lite run (DESIGN.md §3). */
+  val NumWalks = 2
+  val WalkLen = 20
+  val Seed = 11L
+
+  /** Runs every cell of `Benchmarks`, learning on; the baseline runs on one partition. */
+  def run(spark: SparkSession): Seq[Row] = {
+    Benchmarks.flatMap { mb =>
       mb.datasets.map { ds =>
         val cfg = GraphGen.datasets(ds)
         val g0 = GraphGen.buildCSR(spark, cfg)
@@ -111,10 +115,9 @@ object TableVI {
           val model = mb.makeModel()
           // The two "billion-edge" stand-ins get a lighter walk workload
           // (the projection folds the difference back in).
-          val (nw, wl) = if (isBig(ds)) (1, 10) else (numWalks, walkLen)
+          val (nw, wl) = if (isBig(ds)) (1, 10) else (NumWalks, WalkLen)
           val mhRun = RunConfig(nw, wl, partitions = Experiments.Parallelism,
-                                seed = seed, learn = learn,
-                                learnPartitions = Runtime.getRuntime.availableProcessors())
+                                seed = Seed, learn = true)
           val mh = Experiments.runUnlessOOM(spark, bcG, cfg, model, Experiments.mhFactory, mhRun)
 
           // The learning phase is identical for both UniNet variants (the
@@ -126,9 +129,7 @@ object TableVI {
             r.copy(times = r.times.copy(tLearn = mh.map(_.times.tLearn).getOrElse(0.0)))
           }
 
-          val openRun = RunConfig(nw, wl, partitions = 1, seed = seed,
-                                  learn = learn && !isBig(ds), learnPartitions = 1,
-                                  parallelPrepare = false)
+          val openRun = RunConfig(nw, wl, partitions = 1, seed = Seed, learn = !isBig(ds))
           val open = Experiments.runUnlessOOM(
             spark, bcG, cfg, model, Experiments.origFactory(model), openRun,
             openSourceImpl = true)
@@ -144,8 +145,8 @@ object TableVI {
           val linearDeg = Experiments.perStepLinearInDegree(Experiments.origFactory(model))
           Row(mb.modelName, ds,
               cell(open, linearDeg, learned = openRun.learn),
-              cell(orig, linearDeg, learned = learn),
-              cell(mh, linearDeg = false, learned = learn))
+              cell(orig, linearDeg, learned = true),
+              cell(mh, linearDeg = false, learned = true))
         } finally bcG.destroy()
       }
     }

@@ -65,10 +65,17 @@ object TableVII {
   final case class Row(dataset: String, sampler: String,
                        cells: Seq[Option[CellVII]]) // per (p,q); None = OOM
 
-  def run(spark: SparkSession, numWalks: Int = 1, walkLen: Int = 20,
-          seed: Long = 13L, datasets: Seq[String] = Datasets,
-          repeats: Int = 2): Seq[Row] = {
-    datasets.flatMap { ds =>
+  /** Walks per node and walk length: walks only, no learning. */
+  val NumWalks = 1
+  val WalkLen = 20
+  val Seed = 13L
+
+  /** Runs every cell over `Datasets`, `Experiments.Repeats` times after a
+    * warm-up; repeat r uses seed `Seed + r`.
+    */
+  def run(spark: SparkSession): Seq[Row] = {
+    val base = RunConfig(NumWalks, WalkLen, partitions = Experiments.Parallelism, seed = Seed)
+    Datasets.flatMap { ds =>
       val cfg = GraphGen.datasets(ds)
       val g = GraphGen.buildCSR(spark, cfg)
       val bcG = spark.sparkContext.broadcast(g)
@@ -76,17 +83,13 @@ object TableVII {
         val budget = Experiments.memoryAwareBudget(g, new Node2Vec(1, 1))
         // Discarded warm-up so the first measured row is not paying JIT.
         Experiments.runUnlessOOM(
-          spark, bcG, cfg, new Node2Vec(1, 1), new MHSamplerFactory(RandomInit),
-          RunConfig(numWalks, walkLen, partitions = Experiments.Parallelism,
-                    seed = seed, learn = false))
+          spark, bcG, cfg, new Node2Vec(1, 1), new MHSamplerFactory(RandomInit), base)
         samplerRows(budget).map { case (label, mkFactory) =>
           val cells = Configs.map { case (p, q) =>
             val model = new Node2Vec(p, q)
-            val runs = (1 to repeats).flatMap { rep =>
+            val runs = (1 to Experiments.Repeats).flatMap { rep =>
               Experiments.runUnlessOOM(
-                spark, bcG, cfg, model, mkFactory(),
-                RunConfig(numWalks, walkLen, partitions = Experiments.Parallelism,
-                          seed = seed + rep, learn = false)
+                spark, bcG, cfg, model, mkFactory(), base.copy(seed = Seed + rep)
               ).map(r => CellVII(r.times.tInit + r.times.tWalk, r.times.tWalk,
                                  r.trialsPerStep))
             }

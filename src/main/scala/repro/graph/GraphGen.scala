@@ -97,12 +97,13 @@ object GraphGen {
 
   /** A heterogeneous view of a homogeneous dataset — fairwalk (and the
     * Table VII edge2vec runs) need type info on networks that have none,
-    * mirroring the paper's randomly-generated type assignment.
+    * mirroring the paper's randomly-generated type assignment. Its nodes
+    * take `typeOf`'s three types.
     */
-  def withGeneratedTypes(g: CSRGraph, numTypes: Int = 3): CSRGraph = {
+  def withGeneratedTypes(g: CSRGraph): CSRGraph = {
     if (g.isHeterogeneous) g
     else new CSRGraph(g.numNodes, g.offsets, g.neighbors, g.weights,
-                      Array.tabulate[Byte](g.numNodes)(typeOf), numTypes)
+                      Array.tabulate[Byte](g.numNodes)(typeOf), 3)
   }
 
   /** Planted-partition graph (stochastic block model): node v sits in

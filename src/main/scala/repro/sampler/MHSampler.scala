@@ -120,42 +120,40 @@ final class MHSampler(
   private def initialEdge(s: WalkState, rng: SplittableRandom): Int = init match {
     case RandomInit => randomPermitted(s, rng)
     case HighWeightInit(k) =>
+      // The exact max over N(v) when d <= k, else the max over k uniform probes.
       val lo = g.offset(s.cur); val d = g.degree(s.cur)
+      val exact = d <= k
       var best = -1; var bestW = 0.0
-      if (d <= k) { // exact max
-        var j = 0
-        while (j < d) {
-          val w = model.calculateWeight(g, s, lo + j)
-          if (w > bestW) { bestW = w; best = lo + j }
-          j += 1
-        }
-      } else { // approximate max over k uniform probes
-        var j = 0
-        while (j < k) {
-          val e = lo + rng.nextInt(d)
-          val w = model.calculateWeight(g, s, e)
-          if (w > bestW) { bestW = w; best = e }
-          j += 1
-        }
-        if (best < 0) best = randomPermitted(s, rng)
+      var j = 0
+      while (j < math.min(d, k)) {
+        val e = lo + (if (exact) j else rng.nextInt(d))
+        val w = model.calculateWeight(g, s, e)
+        if (w > bestW) { bestW = w; best = e }
+        j += 1
       }
-      best
+      if (best < 0 && !exact) randomPermitted(s, rng) else best
     case BurnInInit(iters) =>
       var last = randomPermitted(s, rng)
-      if (last >= 0) {
-        val lo = g.offset(s.cur); val d = g.degree(s.cur)
-        var i = 0
-        while (i < iters) {
-          val cand = lo + rng.nextInt(d)
-          val wc = model.calculateWeight(g, s, cand)
-          if (wc > 0) {
-            val wl = model.calculateWeight(g, s, last)
-            if (wl <= 0 || rng.nextDouble() * wl < wc) last = cand
-          }
-          i += 1
-        }
+      var i = 0
+      while (last >= 0 && i < iters) {
+        val cand = propose(s, last, g.degree(s.cur), rng)
+        if (cand >= 0) last = cand
+        i += 1
       }
       last
+  }
+
+  /** One M-H proposal from LAST_x = `last`: a uniform candidate edge of
+    * N(v), accepted with min{1, w'(cand)/w'(last)}; -1 when rejected.
+    */
+  private def propose(s: WalkState, last: Int, d: Int, rng: SplittableRandom): Int = {
+    val cand = g.offset(s.cur) + rng.nextInt(d)
+    val wc = model.calculateWeight(g, s, cand)
+    if (wc > 0) {
+      val wl = model.calculateWeight(g, s, last)
+      if (wl <= 0 || rng.nextDouble() * wl < wc) return cand
+    }
+    -1
   }
 
   /** Alg. 1: one M-H transition of state x's chain, returning LAST_x. */
@@ -170,16 +168,11 @@ final class MHSampler(
       stats.initCount += 1
       if (last < 0) { slots(x) = NoEdge; return -1 } // no permitted edge: the walk is stuck
     }
-    // Draw a uniform candidate and accept with min{1, w'(cand)/w'(last)}.
     stats.trials += 1
-    val cand = g.offset(s.cur) + rng.nextInt(d)
-    val wc = model.calculateWeight(g, s, cand)
-    if (wc > 0) {
-      val wl = model.calculateWeight(g, s, last)
-      if (wl <= 0 || rng.nextDouble() * wl < wc) {
-        last = cand
-        stats.accepts += 1
-      }
+    val cand = propose(s, last, d, rng)
+    if (cand >= 0) {
+      last = cand
+      stats.accepts += 1
     }
     slots(x) = last
     last

@@ -60,12 +60,11 @@ object MemoryModel {
 
   /** Footprint of `factory`'s sampler on the paper-scale dataset `cfg`. */
   def paperScale(cfg: DatasetConfig, factory: SamplerFactory, secondOrder: Boolean,
-                 budgetBytes: Long = PaperServerBytes,
                  openSourceImpl: Boolean = false): Footprint = {
     val e = paperDirectedEdges(cfg)
     val v = cfg.paperNodes
     val gBytes = if (openSourceImpl) openSourceGraphBytes(v, e) else graphBytes(v, e)
-    Footprint(gBytes, factory.paperBytes(cfg, secondOrder, budgetBytes - gBytes))
+    Footprint(gBytes, factory.paperBytes(cfg, secondOrder, PaperServerBytes - gBytes))
   }
 
   /** The table-cell annotation: "*" when the paper-scale footprint exceeds

@@ -11,8 +11,7 @@ class PipelineSpec extends SparkSpec {
 
   test("full run produces walks, tokens, and non-negative phase times") {
     val r = Pipeline.run(spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()),
-                         RunConfig(numWalks = 2, walkLen = 8, partitions = 4, learn = true,
-                                   dim = 8, learnPartitions = 2))
+                         RunConfig(numWalks = 2, walkLen = 8, partitions = 4, learn = true))
     assert(r.walkCount == 2L * g.numNodes)
     assert(r.tokenCount == r.walkCount * 9) // connected: full length walks
     assert(r.times.tInit >= 0 && r.times.tWalk >= 0 && r.times.tLearn > 0)
@@ -50,8 +49,7 @@ class PipelineSpec extends SparkSpec {
 
   test("single-partition baseline configuration runs") {
     val r = Pipeline.run(spark, bcG, new DeepWalk, repro.sampler.DirectSamplerFactory,
-                         RunConfig(numWalks = 1, walkLen = 5, partitions = 1,
-                                   parallelPrepare = false))
+                         RunConfig(numWalks = 1, walkLen = 5, partitions = 1))
     assert(r.walkCount == g.numNodes)
   }
 
