@@ -68,7 +68,7 @@ class WalkCorpusGoldenSpec extends SparkSpec {
         got = results((mName, sName))
         if !golden.get((mName, sName)).contains(got)
       } yield got.literal(mName, sName)
-      assert(changed.isEmpty, changed.mkString("new rows:\n", "\n", ""))
+      if (changed.nonEmpty) fail(changed.mkString("new rows:\n", "\n", ""))
     }
   }
 
