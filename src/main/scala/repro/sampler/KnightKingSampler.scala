@@ -135,6 +135,7 @@ final class KnightKingSampler(
         }
       }
     }
+    stats.trials += d // the direct draw evaluates every weight of N(v)
     SamplerUtil.directDraw(g, model, s, rng)
   }
 }

@@ -1,10 +1,13 @@
 package repro.sampler
 
+import java.util.SplittableRandom
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.core.WalkState
-import repro.model.{DeepWalk, Edge2Vec, Node2Vec}
+import repro.graph.GraphGen
+import repro.model.{DeepWalk, Edge2Vec, MetaPath2Vec, Node2Vec}
 
 /** KnightKing-style sampler: distribution exactness with outlier folding
   * and pre-acceptance, plus the efficiency claims of paper §V-D/E.
@@ -90,6 +93,23 @@ class KnightKingSamplerSpec extends AnyFunSuite {
     val s = m.initialState(g, 0)
     val emp = TestGraphs.empiricalDistribution(g, smp, s, 100_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
+  }
+
+  test("the direct fallback counts its d weight evaluations as trials") {
+    // Star of type-0 nodes: a 0-1 metapath walker at the center has d = 5
+    // neighbours and none of the target type, so every proposal is rejected.
+    val d = 5
+    val star = GraphGen.fromTriples(d + 1, (1 to d).map(i => (0, i, 1.0)),
+                                    Array.fill[Byte](d + 1)(0), numTypes = 2)
+    val m = new MetaPath2Vec(Array(0, 1))
+    for (optimized <- Seq(true, false)) {
+      val f = new KnightKingSamplerFactory(optimized)
+      f.prepare(star, m, parallel = false)
+      val smp = f.create(star, m)
+      assert(smp.sample(WalkState(-1, 0, 0), new SplittableRandom(3)) == -1, f.name)
+      // 8d + 16 rejected proposals, then the direct draw's d evaluations.
+      assert(smp.stats.trials == 9 * d + 16, f.name)
+    }
   }
 
   test("shares the static proposal's memory footprint") {
