@@ -66,7 +66,7 @@ final class CSRGraph(
 
   def hasEdge(v: Int, u: Int): Boolean = neighborIndexOf(v, u) >= 0
 
-  /** Sum of static weights of N(v) — the normalizer direct samplers need. */
+  /** Sum of static weights of N(v); no sampler uses it, each sums dynamic weights. */
   def staticWeightSum(v: Int): Double = {
     var s = 0.0; var e = offsets(v)
     while (e < offsets(v + 1)) { s += weights(e); e += 1 }
