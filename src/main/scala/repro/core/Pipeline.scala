@@ -37,9 +37,9 @@ final case class RunResult(
   * UniNet runs use the paper's default parallelism of 16.
   */
 final case class RunConfig(
-    numWalks: Int = 2,
-    walkLen: Int = 20,
-    partitions: Int = 16,
+    numWalks: Int,
+    walkLen: Int,
+    partitions: Int,
     seed: Long = 1L,
     learn: Boolean = false,
 )

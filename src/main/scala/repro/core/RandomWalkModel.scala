@@ -26,8 +26,8 @@ final case class WalkState(prev: Int, cur: Int, aux: Int)
   *    *affixture* (an index within that node's bucket), and `slot` maps it
   *    to one index in [0, `numSlots`) — M-H's flat LAST_x array and the
   *    precomputed alias tables are indexed by it;
-  *  - `bias`/`maxBias` expose w' = bias * w for rejection-style samplers
-  *    (rejection, KnightKing, memory-aware) that need an envelope over the
+  *  - `bias`/`maxBias` expose w' = bias * w for the rejection-style
+  *    samplers (rejection, KnightKing) that need an envelope over the
   *    static-weight proposal distribution.
   */
 trait RandomWalkModel extends Serializable {

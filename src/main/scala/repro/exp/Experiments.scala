@@ -4,7 +4,7 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 
 import repro.core.{Pipeline, RandomWalkModel, RunConfig, RunResult}
-import repro.graph.{CSRGraph, DatasetConfig, GraphGen}
+import repro.graph.{CSRGraph, DatasetConfig}
 import repro.model._
 import repro.sampler._
 
@@ -39,13 +39,6 @@ object Experiments {
   /** Default M-H factory: high-weight initialization (paper §V-C). */
   def mhFactory: SamplerFactory = new MHSamplerFactory(HighWeightInit())
 
-  /** True when the sampler's per-step cost is O(deg) (for projections). */
-  def perStepLinearInDegree(f: SamplerFactory): Boolean = f match {
-    case DirectSamplerFactory       => true
-    case _: MemoryAwareSamplerFactory => true // budget-starved states sample directly
-    case _                          => false
-  }
-
   /** Project a -lite measurement to paper scale: scale walkers (|V|),
     * per-step cost (mean degree, if O(d)), and the walk workload back up
     * to the paper's 10 x 80. Constant Python-vs-C++ factors are NOT
@@ -76,7 +69,7 @@ object Experiments {
       run: RunConfig,
       openSourceImpl: Boolean = false,
   ): Option[RunResult] = {
-    if (MemoryModel.oomMark(cfg, factory, model.isSecondOrder, openSourceImpl) == "*") None
+    if (MemoryModel.ooms(cfg, factory, model.isSecondOrder, openSourceImpl)) None
     else {
       // Settle the heap so the previous run's dropped tables/caches are
       // not collected in the middle of this run's timed phases.
@@ -90,12 +83,6 @@ object Experiments {
     */
   def memoryAwareBudget(g: CSRGraph, model: RandomWalkModel): Long =
     g.storageBytes + 4L * model.numStates(g)
-
-  def broadcastDataset(spark: SparkSession, name: String): (DatasetConfig, Broadcast[CSRGraph]) = {
-    val cfg = GraphGen.datasets(name)
-    val g = GraphGen.buildCSR(spark, cfg)
-    (cfg, spark.sparkContext.broadcast(g))
-  }
 
   /** Render rows as an aligned plain-text table. */
   def renderTable(header: Seq[String], rows: Seq[Seq[String]]): String = {

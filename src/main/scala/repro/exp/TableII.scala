@@ -3,6 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 
 import repro.core.RunConfig
+import repro.graph.GraphGen
 import repro.model.Node2Vec
 import repro.sampler.KnightKingSamplerFactory
 
@@ -30,7 +31,7 @@ object TableII {
 
   /** The paper's 10 walks of length 80 per node, `Experiments.Repeats` runs per (p, q). */
   def run(spark: SparkSession): Seq[Row] = {
-    val (_, bcG) = Experiments.broadcastDataset(spark, "Flickr")
+    val bcG = spark.sparkContext.broadcast(GraphGen.buildCSR(spark, GraphGen.datasets("Flickr")))
     try {
       def once(p: Double, q: Double) = repro.core.Pipeline.run(
         spark, bcG, new Node2Vec(p, q), new KnightKingSamplerFactory(optimized = false),

@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{RandomWalkModel, RunConfig, RunResult}
 import repro.graph.GraphGen
 import repro.model._
-import repro.sampler.MemoryModel
+import repro.sampler.{DirectSamplerFactory, MemoryModel}
 
 /** Table VI: end-to-end training cost (Ti, Tw, Tl, Tt) of the five NRL
   * models under three implementations —
@@ -142,7 +142,8 @@ object TableVI {
               r.times.tInit + r.times.tWalk, cfg, g, linearDeg, nw, wl)),
             learned)
 
-          val linearDeg = Experiments.perStepLinearInDegree(Experiments.origFactory(model))
+          // Direct sampling costs O(deg) per step; alias and M-H cost O(1).
+          val linearDeg = Experiments.origFactory(model) == DirectSamplerFactory
           Row(mb.modelName, ds,
               cell(open, linearDeg, learned = openRun.learn),
               cell(orig, linearDeg, learned = true),
@@ -188,17 +189,20 @@ object TableVI {
       Experiments.renderTable(header, body)
   }
 
-  /** Convenience: the paper-scale OOM pattern alone (no timing runs). */
-  def oomPattern: Seq[(String, String, String, String, String)] =
+  /** The paper-scale OOM pattern alone (no timing runs): per (model,
+    * dataset), whether the open-sourced, UniNet (Orig) and UniNet (M-H)
+    * cells OOM.
+    */
+  def oomPattern: Seq[(String, String, Boolean, Boolean, Boolean)] =
     Benchmarks.flatMap { mb =>
       mb.datasets.map { ds =>
         val cfg = GraphGen.datasets(ds)
         val model = mb.makeModel()
         val orig = Experiments.origFactory(model)
         (mb.modelName, ds,
-         MemoryModel.oomMark(cfg, orig, model.isSecondOrder, openSourceImpl = true),
-         MemoryModel.oomMark(cfg, orig, model.isSecondOrder),
-         MemoryModel.oomMark(cfg, Experiments.mhFactory, model.isSecondOrder))
+         MemoryModel.ooms(cfg, orig, model.isSecondOrder, openSourceImpl = true),
+         MemoryModel.ooms(cfg, orig, model.isSecondOrder),
+         MemoryModel.ooms(cfg, Experiments.mhFactory, model.isSecondOrder))
       }
     }
 }

@@ -54,13 +54,13 @@ object TableVII {
       row("Web-UK", "UniNet(Weight)", Seq("4820.30", "5220.30", "3184.28", "3823.40", "4502.10"))).toMap
   }
 
-  /** One measured cell: total Ti+Tw seconds, walk-phase seconds, and the
-    * sampler's proposals/weight-evaluations per emitted step. At -lite
+  /** One measured cell: total Ti+Tw seconds and the sampler's
+    * proposals/weight-evaluations per emitted step. At -lite
     * scale the time cells are dominated by the fixed per-run costs, so
     * sensitivity claims are asserted on `trialsPerStep` (the quantity the
     * paper's timing differences are made of).
     */
-  final case class CellVII(timeSec: Double, walkSec: Double, trialsPerStep: Double)
+  final case class CellVII(timeSec: Double, trialsPerStep: Double)
 
   final case class Row(dataset: String, sampler: String,
                        cells: Seq[Option[CellVII]]) // per (p,q); None = OOM
@@ -90,8 +90,7 @@ object TableVII {
             val runs = (1 to Experiments.Repeats).flatMap { rep =>
               Experiments.runUnlessOOM(
                 spark, bcG, cfg, model, mkFactory(), base.copy(seed = Seed + rep)
-              ).map(r => CellVII(r.times.tInit + r.times.tWalk, r.times.tWalk,
-                                 r.trialsPerStep))
+              ).map(r => CellVII(r.times.tInit + r.times.tWalk, r.trialsPerStep))
             }
             // Min over repeats de-noises GC/scheduler jitter.
             if (runs.isEmpty) None else Some(runs.minBy(_.timeSec))

@@ -66,13 +66,6 @@ final class CSRGraph(
 
   def hasEdge(v: Int, u: Int): Boolean = neighborIndexOf(v, u) >= 0
 
-  /** Sum of static weights of N(v); no sampler uses it, each sums dynamic weights. */
-  def staticWeightSum(v: Int): Double = {
-    var s = 0.0; var e = offsets(v)
-    while (e < offsets(v + 1)) { s += weights(e); e += 1 }
-    s
-  }
-
   /** Per-(node, type) neighbor counts, |V| x numTypes, built on demand.
     * Fairwalk's group normalizer |K| (Eq. 5) reads this in O(1).
     */

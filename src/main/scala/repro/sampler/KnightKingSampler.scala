@@ -73,7 +73,7 @@ final class KnightKingSamplerFactory(val optimized: Boolean = true) extends Samp
     if (proposal == null) 0L else proposal.bytes(g)
 
   override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =
-    12L * MemoryModel.paperDirectedEdges(cfg) + 8L * cfg.paperNodes
+    12L * cfg.paperEdges + 8L * cfg.paperNodes
 }
 
 final class KnightKingSampler(

@@ -11,6 +11,7 @@ import repro.graph.DatasetConfig
   * a memory-complexity statement, which these formulas reproduce:
   *
   *   graph (CSR, weighted)        : 8 |E|dir + 4 |V| bytes
+  *   graph (open-sourced impl)    : 20 |E|dir + 8 |V|
   *   alias, first-order           : 12 |E|dir                (one table/node)
   *   alias, second-order          : 12 |E|dir * dbar          (one table/edge)
   *   rejection / KnightKing       : 12 |E|dir + 8 |V|         (static proposal)
@@ -18,16 +19,11 @@ import repro.graph.DatasetConfig
   *   memory-aware                 : min(budget, alias need)   (by construction)
   *   direct                       : 0
   *
-  * |E|dir is the directed adjacency count = |V| * mean-degree, matching the
-  * paper's Table V convention.
+  * |E|dir is `DatasetConfig.paperEdges`, the directed adjacency count
+  * = |V| * mean-degree, matching the paper's Table V convention.
   */
 object MemoryModel {
   val PaperServerBytes: Long = 96L * (1L << 30)
-
-  final case class Footprint(graphBytes: Long, samplerBytes: Long) {
-    def total: Long = graphBytes + samplerBytes
-    def oomAt(budget: Long): Boolean = total > budget
-  }
 
   def graphBytes(nodes: Long, directedEdges: Long): Long = 8L * directedEdges + 4L * nodes
 
@@ -40,38 +36,27 @@ object MemoryModel {
     */
   val OpenSourceBytesPerEdge: Long = 20L
 
-  def openSourceGraphBytes(nodes: Long, directedEdges: Long): Long =
-    OpenSourceBytesPerEdge * directedEdges + 8L * nodes
-
-  /** Directed adjacency entries at paper scale (paper |E| is directed). */
-  def paperDirectedEdges(cfg: DatasetConfig): Long = cfg.paperEdges
-
   def paperStates(cfg: DatasetConfig, secondOrder: Boolean): Long =
-    if (secondOrder) paperDirectedEdges(cfg) else cfg.paperNodes
+    if (secondOrder) cfg.paperEdges else cfg.paperNodes
 
   /** Alias tables at paper scale: one per node over its edges for
     * first-order models, one per directed edge over its destination's
     * edges for second-order ones.
     */
   def paperAliasBytes(cfg: DatasetConfig, secondOrder: Boolean): Long = {
-    val e = paperDirectedEdges(cfg)
+    val e = cfg.paperEdges
     if (secondOrder) (12.0 * e * cfg.paperMeanDegree).toLong else 12L * e
   }
 
-  /** Footprint of `factory`'s sampler on the paper-scale dataset `cfg`. */
-  def paperScale(cfg: DatasetConfig, factory: SamplerFactory, secondOrder: Boolean,
-                 openSourceImpl: Boolean = false): Footprint = {
-    val e = paperDirectedEdges(cfg)
-    val v = cfg.paperNodes
-    val gBytes = if (openSourceImpl) openSourceGraphBytes(v, e) else graphBytes(v, e)
-    Footprint(gBytes, factory.paperBytes(cfg, secondOrder, PaperServerBytes - gBytes))
-  }
-
-  /** The table-cell annotation: "*" when the paper-scale footprint exceeds
-    * the paper's 96 GB server, "" otherwise.
+  /** True when the graph plus `factory`'s sampler on the paper-scale
+    * dataset `cfg` exceed the paper's 96 GB server: a table's `*` cell.
+    * The sampler may use what the graph leaves free.
     */
-  def oomMark(cfg: DatasetConfig, factory: SamplerFactory, secondOrder: Boolean,
-              openSourceImpl: Boolean = false): String =
-    if (paperScale(cfg, factory, secondOrder, openSourceImpl = openSourceImpl)
-          .oomAt(PaperServerBytes)) "*" else ""
+  def ooms(cfg: DatasetConfig, factory: SamplerFactory, secondOrder: Boolean,
+           openSourceImpl: Boolean = false): Boolean = {
+    val e = cfg.paperEdges
+    val v = cfg.paperNodes
+    val graph = if (openSourceImpl) OpenSourceBytesPerEdge * e + 8L * v else graphBytes(v, e)
+    graph + factory.paperBytes(cfg, secondOrder, PaperServerBytes - graph) > PaperServerBytes
+  }
 }

@@ -53,13 +53,18 @@ class ExperimentsSpec extends AnyFunSuite {
   }
 
   test("Table VI OOM pattern matches the paper's '*' cells") {
-    val marks = TableVI.oomPattern.map { case (m, d, open, orig, mh) => (m, d) -> ((open, orig, mh)) }.toMap
-    assert(marks(("Deepwalk", "Twitter")) == (("", "", "")))      // runs (but >4h in paper)
-    assert(marks(("Deepwalk", "Web-UK")) == (("*", "", "")))      // open-source OOM only
-    assert(marks(("Node2vec", "Twitter")) == (("*", "*", "")))    // alias OOM, M-H fits
-    assert(marks(("Node2vec", "Web-UK")) == (("*", "*", "")))
-    assert(marks(("Node2vec", "YouTube")) == (("", "", "")))
-    assert(marks(("Edge2vec", "AMiner")) == (("", "", "")))
+    val pattern = TableVI.oomPattern
+    val marks = pattern.map { case (m, d, open, orig, mh) => (m, d) -> ((open, orig, mh)) }.toMap
+    assert(marks(("Deepwalk", "Twitter")) == ((false, false, false))) // runs (but >4h in paper)
+    assert(marks(("Deepwalk", "Web-UK")) == ((true, false, false)))   // open-source OOM only
+    assert(marks(("Node2vec", "Twitter")) == ((true, true, false)))   // alias OOM, M-H fits
+    assert(marks(("Node2vec", "Web-UK")) == ((true, true, false)))
+    assert(marks(("Node2vec", "YouTube")) == ((false, false, false)))
+    assert(marks(("Edge2vec", "AMiner")) == ((false, false, false)))
+    for ((m, d, open, orig, mh) <- pattern) {
+      val (po, pr, pm) = TableVI.PaperTt((m, d))
+      assert((open, orig, mh) == ((po == "*", pr == "*", pm == "*")), s"$m on $d")
+    }
   }
 
   test("Table II configs and paper values are aligned") {

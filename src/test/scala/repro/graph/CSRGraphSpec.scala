@@ -67,11 +67,6 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
     assert(!g.hasEdge(2, 3))
   }
 
-  test("staticWeightSum sums the neighborhood weights") {
-    assert(math.abs(g.staticWeightSum(0) - 3.5) < 1e-6)
-    assert(math.abs(g.staticWeightSum(3) - 0.5) < 1e-6)
-  }
-
   test("homogeneous graph reports a single type everywhere") {
     assert(!g.isHeterogeneous)
     assert(g.nodeType(2) == 0)

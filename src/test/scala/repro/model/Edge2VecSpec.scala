@@ -11,7 +11,7 @@ class Edge2VecSpec extends AnyFunSuite {
   private def e(v: Int, u: Int): Int = g.offset(v) + g.neighborIndexOf(v, u)
 
   test("default matrix is square over T^2 edge types with positive entries") {
-    val m = Edge2Vec.defaultMatrix(3)
+    val m = Edge2Vec.Matrix
     assert(m.length == 9 && m.forall(_.length == 9))
     assert(m.flatten.forall(x => x >= 0.2 && x <= 1.0))
   }
@@ -22,7 +22,7 @@ class Edge2VecSpec extends AnyFunSuite {
     val s = WalkState(1, 0, 0)
     val cand = e(0, 4)
     // 4 is a neighbor of 1 -> alpha = 1; edge type of (0,4) = 0*3+1 = 1.
-    val expected = 1.0 * Edge2Vec.defaultMatrix(3)(3)(1) * g.weight(cand)
+    val expected = 1.0 * Edge2Vec.Matrix(3)(1) * g.weight(cand)
     assert(math.abs(model.calculateWeight(g, s, cand) - expected) < 1e-9)
   }
 
@@ -30,7 +30,7 @@ class Edge2VecSpec extends AnyFunSuite {
     val model = Edge2Vec(2.0, 4.0)
     val s = WalkState(1, 0, 0)
     val ret = e(0, 1)
-    val mFac = Edge2Vec.defaultMatrix(3)(3)(0 * 3 + 1) // (0,1) edge type = 1
+    val mFac = Edge2Vec.Matrix(3)(0 * 3 + 1) // (0,1) edge type = 1
     val expected = 0.5 * mFac * g.weight(ret)
     assert(math.abs(model.calculateWeight(g, s, ret) - expected) < 1e-9)
   }
@@ -40,7 +40,7 @@ class Edge2VecSpec extends AnyFunSuite {
     // From state (5 -> 2): N(2) = {0, 1, 3, 5}; 3 is not adjacent to 5.
     val s = WalkState(5, 2, 0)
     val cand = e(2, 3)
-    val mFac = Edge2Vec.defaultMatrix(3)(2 * 3 + 2)(2 * 3 + 0)
+    val mFac = Edge2Vec.Matrix(2 * 3 + 2)(2 * 3 + 0)
     val expected = 0.25 * mFac * g.weight(cand)
     assert(math.abs(model.calculateWeight(g, s, cand) - expected) < 1e-9)
   }
@@ -56,7 +56,7 @@ class Edge2VecSpec extends AnyFunSuite {
 
   test("bias bounds include the matrix range") {
     val model = Edge2Vec(0.25, 4.0)
-    val mat = Edge2Vec.defaultMatrix(3)
+    val mat = Edge2Vec.Matrix
     assert(math.abs(model.maxBias - 4.0 * mat.map(_.max).max) < 1e-9)
     assert(math.abs(model.minBias - 0.25 * mat.map(_.min).min) < 1e-9)
   }
@@ -73,9 +73,5 @@ class Edge2VecSpec extends AnyFunSuite {
     assert(model.bucketSize(g, 0) == g.degree(0) + 1)
     assert(model.affixture(g, WalkState(1, 0, 0)) == g.neighborIndexOf(0, 1))
     assert(model.stateFor(g, 0, g.neighborIndexOf(0, 1)) == WalkState(1, 0, 0))
-  }
-
-  test("matrix must be square") {
-    assertThrows[IllegalArgumentException](new Edge2Vec(1, 1, Array(Array(1.0, 2.0))))
   }
 }

@@ -17,64 +17,52 @@ class MemoryModelSpec extends AnyFunSuite {
   private val memoryAware = new MemoryAwareSamplerFactory(80L << 20)
 
   test("Table VII: second-order alias OOMs on both billion-edge networks") {
-    assert(MemoryModel.oomMark(twitter, aliasPre, secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(webuk, aliasPre, secondOrder = true) == "*")
+    assert(MemoryModel.ooms(twitter, aliasPre, secondOrder = true))
+    assert(MemoryModel.ooms(webuk, aliasPre, secondOrder = true))
   }
 
   test("Table VII: rejection and KnightKing run on Twitter but OOM on Web-UK") {
     for (s <- Seq(new KnightKingSamplerFactory(optimized = false), new KnightKingSamplerFactory)) {
-      assert(MemoryModel.oomMark(twitter, s, secondOrder = true) == "", s.name)
-      assert(MemoryModel.oomMark(webuk, s, secondOrder = true) == "*", s.name)
+      assert(!MemoryModel.ooms(twitter, s, secondOrder = true), s.name)
+      assert(MemoryModel.ooms(webuk, s, secondOrder = true), s.name)
     }
   }
 
   test("Table VII: M-H fits both billion-edge networks") {
-    assert(MemoryModel.oomMark(twitter, mh, secondOrder = true) == "")
-    assert(MemoryModel.oomMark(webuk, mh, secondOrder = true) == "")
+    assert(!MemoryModel.ooms(twitter, mh, secondOrder = true))
+    assert(!MemoryModel.ooms(webuk, mh, secondOrder = true))
   }
 
   test("Table VII: memory-aware fits both by construction") {
-    assert(MemoryModel.oomMark(twitter, memoryAware, secondOrder = true) == "")
-    assert(MemoryModel.oomMark(webuk, memoryAware, secondOrder = true) == "")
+    assert(!MemoryModel.ooms(twitter, memoryAware, secondOrder = true))
+    assert(!MemoryModel.ooms(webuk, memoryAware, secondOrder = true))
   }
 
   test("Table VI: open-sourced deepwalk runs on Twitter, OOMs on Web-UK") {
-    assert(MemoryModel.oomMark(twitter, DirectSamplerFactory, secondOrder = false, openSourceImpl = true) == "")
-    assert(MemoryModel.oomMark(webuk, DirectSamplerFactory, secondOrder = false, openSourceImpl = true) == "*")
+    assert(!MemoryModel.ooms(twitter, DirectSamplerFactory, secondOrder = false, openSourceImpl = true))
+    assert(MemoryModel.ooms(webuk, DirectSamplerFactory, secondOrder = false, openSourceImpl = true))
   }
 
   test("Table VI: open-sourced node2vec (alias) OOMs on the billion-edge pair only") {
-    assert(MemoryModel.oomMark(twitter, aliasPre, secondOrder = true, openSourceImpl = true) == "*")
-    assert(MemoryModel.oomMark(flickr, aliasPre, secondOrder = true, openSourceImpl = true) == "")
-    assert(MemoryModel.oomMark(youtube, aliasPre, secondOrder = true, openSourceImpl = true) == "")
+    assert(MemoryModel.ooms(twitter, aliasPre, secondOrder = true, openSourceImpl = true))
+    assert(!MemoryModel.ooms(flickr, aliasPre, secondOrder = true, openSourceImpl = true))
+    assert(!MemoryModel.ooms(youtube, aliasPre, secondOrder = true, openSourceImpl = true))
   }
 
   test("Table VI: UniNet(Orig) node2vec OOMs on Twitter/Web-UK, runs on YouTube") {
-    assert(MemoryModel.oomMark(twitter, aliasPre, secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(webuk, aliasPre, secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(youtube, aliasPre, secondOrder = true) == "")
+    assert(MemoryModel.ooms(twitter, aliasPre, secondOrder = true))
+    assert(MemoryModel.ooms(webuk, aliasPre, secondOrder = true))
+    assert(!MemoryModel.ooms(youtube, aliasPre, secondOrder = true))
   }
 
   test("Table VI: M-H deepwalk and node2vec fit everywhere") {
     for (cfg <- GraphGen.datasets.values) {
-      assert(MemoryModel.oomMark(cfg, mh, secondOrder = false) == "", cfg.name)
-      assert(MemoryModel.oomMark(cfg, mh, secondOrder = true) == "", cfg.name)
+      assert(!MemoryModel.ooms(cfg, mh, secondOrder = false), cfg.name)
+      assert(!MemoryModel.ooms(cfg, mh, secondOrder = true), cfg.name)
     }
   }
 
   test("graph bytes formula") {
     assert(MemoryModel.graphBytes(10, 100) == 8L * 100 + 4L * 10)
-  }
-
-  test("footprint totals and the 96 GB threshold") {
-    val f = MemoryModel.Footprint(50L << 30, 50L << 30)
-    assert(f.total == 100L << 30)
-    assert(f.oomAt(MemoryModel.PaperServerBytes))
-    assert(!MemoryModel.Footprint(40L << 30, 40L << 30).oomAt(MemoryModel.PaperServerBytes))
-  }
-
-  test("memory-aware accounting never exceeds the budget") {
-    val fp = MemoryModel.paperScale(webuk, memoryAware, secondOrder = true)
-    assert(fp.total <= MemoryModel.PaperServerBytes)
   }
 }
