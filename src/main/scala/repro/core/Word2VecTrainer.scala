@@ -22,7 +22,15 @@ import repro.sampler.{AliasMethod, AliasTable}
   * (each position trains on a uniformly drawn `window - b` neighbours per
   * side), 5 negatives drawn from counts^0.75, a linearly decaying learning
   * rate and a precomputed sigmoid table. Windows do not cross walk
-  * boundaries.
+  * boundaries. Unlike word2vec.c, each position draws its negatives once
+  * and shares them across every context of its window, as in the
+  * minibatched SGNS of Ji et al. 2016 ("Parallelizing Word2Vec in Shared
+  * and Distributed Memory"): each output row is then written once per
+  * position and target, and each context's input row once per position,
+  * instead of once per (context, target) pair. On a power-law corpus,
+  * where every thread's negatives hit the same hub rows, that cuts the
+  * cache-line traffic between threads. Where a window has one context,
+  * the step is word2vec.c's.
   *
   * The learning rate decays with the tokens all threads have trained, read
   * from a shared counter once per walk. It starts at word2vec.c's 0.025
@@ -123,7 +131,12 @@ object Word2VecTrainer {
       trained: AtomicLong,
       totalWork: Long,
   ) {
-    private val neu1e = new Array[Float](dim)
+    /** `syn0` offsets of the current position's contexts. */
+    private val context = new Array[Int](2 * window)
+    /** Each context's accumulated input-vector update, `dim` floats apart. */
+    private val contextErr = new Array[Float](2 * window * dim)
+    /** The current target's accumulated output-vector update. */
+    private val targetErr = new Array[Float](dim)
     private var alpha = startAlpha
 
     def run(iterations: Int): Unit = {
@@ -142,44 +155,64 @@ object Word2VecTrainer {
       while (pos < w.length) {
         val reach = window - rng.nextInt(window)
         val hi = math.min(w.length - 1, pos + reach)
+        var contexts = 0
         var c = math.max(0, pos - reach)
         while (c <= hi) {
-          if (c != pos) trainPair(w(c) * dim, w(pos))
+          if (c != pos) { context(contexts) = w(c) * dim; contexts += 1 }
           c += 1
         }
+        if (contexts > 0) trainPosition(w(pos), contexts)
         pos += 1
       }
     }
 
-    /** One SGNS step: the input vector at `l1` predicts `word` against
-      * `Negatives` noise nodes.
+    /** One SGNS step for a position: each of the first `contexts` input
+      * vectors in `context` predicts `word` against the same `Negatives`
+      * noise nodes. A target's output vector takes the summed update of
+      * all contexts after its last one; the input vectors take theirs
+      * after the last target.
       */
-    private def trainPair(l1: Int, word: Int): Unit = {
-      java.util.Arrays.fill(neu1e, 0f)
+    private def trainPosition(word: Int, contexts: Int): Unit = {
+      java.util.Arrays.fill(contextErr, 0, contexts * dim, 0f)
       var d = 0
       while (d <= Negatives) {
         val target = if (d == 0) word else negatives.draw(rng)
         if (d == 0 || target != word) {
           val label = if (d == 0) 1f else 0f
           val l2 = target * dim
-          var f = 0f
-          var k = 0
-          while (k < dim) { f += syn0(l1 + k) * syn1(l2 + k); k += 1 }
-          val g =
-            if (f >= MaxExp) (label - 1) * alpha
-            else if (f <= -MaxExp) label * alpha
-            else (label - sigmoidTable(((f + MaxExp) * (ExpTableSize / (2f * MaxExp))).toInt)) * alpha
-          k = 0
-          while (k < dim) {
-            neu1e(k) += g * syn1(l2 + k)
-            syn1(l2 + k) += g * syn0(l1 + k)
-            k += 1
+          java.util.Arrays.fill(targetErr, 0f)
+          var j = 0
+          while (j < contexts) {
+            val l1 = context(j)
+            val e = j * dim
+            var f = 0f
+            var k = 0
+            while (k < dim) { f += syn0(l1 + k) * syn1(l2 + k); k += 1 }
+            val g =
+              if (f >= MaxExp) (label - 1) * alpha
+              else if (f <= -MaxExp) label * alpha
+              else (label - sigmoidTable(((f + MaxExp) * (ExpTableSize / (2f * MaxExp))).toInt)) * alpha
+            k = 0
+            while (k < dim) {
+              contextErr(e + k) += g * syn1(l2 + k)
+              targetErr(k) += g * syn0(l1 + k)
+              k += 1
+            }
+            j += 1
           }
+          var k = 0
+          while (k < dim) { syn1(l2 + k) += targetErr(k); k += 1 }
         }
         d += 1
       }
-      var k = 0
-      while (k < dim) { syn0(l1 + k) += neu1e(k); k += 1 }
+      var j = 0
+      while (j < contexts) {
+        val l1 = context(j)
+        val e = j * dim
+        var k = 0
+        while (k < dim) { syn0(l1 + k) += contextErr(e + k); k += 1 }
+        j += 1
+      }
     }
   }
 }

@@ -1,5 +1,9 @@
 package repro.core
 
+import java.util.SplittableRandom
+
+import scala.util.hashing.MurmurHash3
+
 import repro.{SparkSpec, TestGraphs}
 import repro.model.DeepWalk
 import repro.sampler.{HighWeightInit, MHSamplerFactory, SamplerFactory}
@@ -68,5 +72,30 @@ class Word2VecTrainerSpec extends SparkSpec {
     val seen = corpus.flatMap(_.map(_.toString)).distinct().collect().toSet
     assert(model.getVectors.keySet == seen)
     model.getVectors.values.foreach(v => assert(v.length == 8 && v.forall(x => !x.isNaN)))
+  }
+
+  /** 3000 seeded length-2 walks over 50 nodes: every position has exactly
+    * one context, so each step trains a single (context, target) pair.
+    */
+  private lazy val pairWalks = {
+    val rng = new SplittableRandom(9L)
+    spark.sparkContext.parallelize(
+      Seq.fill(3000)(Array(rng.nextInt(50), rng.nextInt(50))), 4)
+  }
+
+  /** Recorded from the per-pair SGNS step that trained one (context,
+    * target) pair at a time, each with its own negatives. Where a window
+    * has one context, sharing a position's negatives across its window
+    * changes nothing, so the vectors must stay bit for bit the same.
+    */
+  private val PairWalksHash = 0x00474e95
+
+  test("one-context windows train exactly as the per-pair SGNS step") {
+    val vectors = Word2VecTrainer.train(pairWalks, dim = 8, numPartitions = 1, seed = 9L)
+      .getVectors.toSeq.sortBy(_._1.toInt)
+    val hash = MurmurHash3.orderedHash(vectors.iterator.map { case (id, v) =>
+      (id, MurmurHash3.arrayHash(v.map(java.lang.Float.floatToRawIntBits)))
+    })
+    assert(hash == PairWalksHash, f"new constant: 0x$hash%08x")
   }
 }
