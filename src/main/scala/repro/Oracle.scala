@@ -29,7 +29,9 @@ object Oracle {
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      // Sort by the fields themselves: a joined key lets rows whose fields
+      // concatenate alike tie and keep their arrival order.
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

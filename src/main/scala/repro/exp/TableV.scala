@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 
-import repro.graph.{DatasetStats, GraphGen, GraphStats}
+import repro.graph.{DatasetConfig, GraphGen}
 
 /** Table V: dataset statistics — our synthetic "-lite" substitutes next
   * to the paper's real dataset sizes (the scale-down is the documented
@@ -14,13 +14,25 @@ object TableV {
     "BlogCatalog", "Flickr", "Amazon", "Reddit", "YouTube", "LiveJournal",
     "Twitter", "Web-UK", "ACM", "DBLP", "DBIS", "AMiner")
 
+  /** Dataset statistics row matching Table V's columns. */
+  final case class DatasetStats(name: String, numNodes: Long, numEdges: Long,
+                                meanDegree: Double, numNodeTypes: Int)
+
   final case class Row(stats: DatasetStats, paperNodes: Long, paperEdges: Long,
                        paperMeanDegree: Double)
+
+  /** The Table V statistics of one dataset: |E| counts the generator's
+    * undirected edge frame, and the mean degree is 2|E|/|V|.
+    */
+  def forConfig(spark: SparkSession, cfg: DatasetConfig): DatasetStats = {
+    val e = GraphGen.edgesDF(spark, cfg).count()
+    DatasetStats(cfg.name, cfg.numNodes, e, 2.0 * e / cfg.numNodes, cfg.numTypes)
+  }
 
   def run(spark: SparkSession): Seq[Row] =
     Order.map { n =>
       val cfg = GraphGen.datasets(n)
-      Row(GraphStats.forConfig(spark, cfg), cfg.paperNodes, cfg.paperEdges, cfg.paperMeanDegree)
+      Row(forConfig(spark, cfg), cfg.paperNodes, cfg.paperEdges, cfg.paperMeanDegree)
     }
 
   def render(rows: Seq[Row]): String = {

@@ -27,7 +27,7 @@ object TableVI {
   final case class ModelBench(
       modelName: String,
       datasets: Seq[String],
-      makeModel: () => RandomWalkModel,
+      model: RandomWalkModel,
       needsGeneratedTypes: Boolean,
   )
 
@@ -35,19 +35,19 @@ object TableVI {
   val Benchmarks: Seq[ModelBench] = Seq(
     ModelBench("Deepwalk",
       Seq("BlogCatalog", "Amazon", "Reddit", "Flickr", "YouTube", "Twitter", "Web-UK"),
-      () => new DeepWalk, needsGeneratedTypes = false),
+      new DeepWalk, needsGeneratedTypes = false),
     ModelBench("Node2vec",
       Seq("BlogCatalog", "Amazon", "Reddit", "Flickr", "YouTube", "Twitter", "Web-UK"),
-      () => new Node2Vec(0.25, 4.0), needsGeneratedTypes = false),
+      new Node2Vec(0.25, 4.0), needsGeneratedTypes = false),
     ModelBench("Metapath2vec",
       Seq("ACM", "DBLP", "DBIS", "AMiner"),
-      () => new MetaPath2Vec(Array(0, 1, 0)), needsGeneratedTypes = false),
+      new MetaPath2Vec(Array(0, 1, 0)), needsGeneratedTypes = false),
     ModelBench("Edge2vec",
       Seq("ACM", "DBLP", "DBIS", "AMiner"),
-      () => Edge2Vec(0.25, 0.25), needsGeneratedTypes = false),
+      Edge2Vec(0.25, 0.25), needsGeneratedTypes = false),
     ModelBench("Fairwalk",
       Seq("BlogCatalog", "Amazon", "Reddit"),
-      () => new FairWalk(1.0, 1.0), needsGeneratedTypes = true),
+      new FairWalk(1.0, 1.0), needsGeneratedTypes = true),
   )
 
   /** Paper total cost Tt per (model, dataset) for the three
@@ -112,7 +112,7 @@ object TableVI {
         val g = if (mb.needsGeneratedTypes) GraphGen.withGeneratedTypes(g0) else g0
         val bcG = spark.sparkContext.broadcast(g)
         try {
-          val model = mb.makeModel()
+          val model = mb.model
           // The two "billion-edge" stand-ins get a lighter walk workload
           // (the projection folds the difference back in).
           val (nw, wl) = if (isBig(ds)) (1, 10) else (NumWalks, WalkLen)
@@ -197,7 +197,7 @@ object TableVI {
     Benchmarks.flatMap { mb =>
       mb.datasets.map { ds =>
         val cfg = GraphGen.datasets(ds)
-        val model = mb.makeModel()
+        val model = mb.model
         val orig = Experiments.origFactory(model)
         (mb.modelName, ds,
          MemoryModel.ooms(cfg, orig, model.isSecondOrder, openSourceImpl = true),

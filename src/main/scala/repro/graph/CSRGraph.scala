@@ -92,12 +92,6 @@ final class CSRGraph(
       (if (nodeTypes == null) 0L else nodeTypes.length.toLong)
 
   def meanDegree: Double = numDirectedEdges.toDouble / numNodes
-
-  def maxDegree: Int = {
-    var m = 0; var v = 0
-    while (v < numNodes) { val d = degree(v); if (d > m) m = d; v += 1 }
-    m
-  }
 }
 
 object CSRGraph {

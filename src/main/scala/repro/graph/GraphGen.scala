@@ -1,8 +1,8 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.SynthData
+import org.apache.spark.sql.types.{DoubleType, LongType}
 
 /** Configuration of one synthetic "-lite" dataset standing in for a paper
   * dataset (DESIGN.md §4). `paperNodes` / `paperEdges` carry the real
@@ -55,27 +55,45 @@ object GraphGen {
     case _         => 2
   }
 
-  /** Undirected edge list (src < dst, weight) for `cfg` as a DataFrame.
-    * Deterministic in the config; the same frame feeds both the CSR build
-    * and the DuckDB-checked statistics in [[GraphStats]].
+  /** Undirected power-law edge list (src < dst, weight) for `cfg` as a
+    * DataFrame: skewed endpoint pairs with self-loops dropped, normalized
+    * to src < dst and deduplicated. The weight is a symmetric hash of the
+    * endpoints in [0.5, 1.5), so both directions of an edge agree.
+    * Deterministic in the config; `buildCSR` collects it, and
+    * `GraphStatsSpec` checks the CSR's degrees against DuckDB queries
+    * over it.
     */
   def edgesDF(spark: SparkSession, cfg: DatasetConfig): DataFrame = {
     // Oversample: self-loop filtering + dedup of hot zipf pairs lose a few
     // percent of rows (measured ~3-4% at these scales).
     val rows = (cfg.targetUndirectedEdges * 1.05).toLong
-    SynthData.powerLawEdges(spark, cfg.numNodes, rows, cfg.alpha, cfg.seed)
+    // rand(seed) seeds each partition with seed + its index, so a fixed 4
+    // partitions (local[*] on the 4-core host that recorded the pinned edge
+    // lists) keeps the rows independent of the host's core count.
+    spark.range(0, rows, 1, 4)
+      .select(zipfNode(cfg, cfg.seed) as "src", zipfNode(cfg, cfg.seed + 1) as "dst")
+      .where(col("src") =!= col("dst"))
+      .select(least(col("src"), col("dst")) as "src",
+              greatest(col("src"), col("dst")) as "dst")
+      .distinct()
+      .select(col("src"), col("dst"),
+              (lit(0.5) + pmod(hash(col("src"), col("dst")), lit(1000)).cast(DoubleType) / 1000.0) as "weight")
   }
 
-  /** Node-type DataFrame (id, type) for `cfg`; all zeros if homogeneous. */
-  def nodesDF(spark: SparkSession, cfg: DatasetConfig): DataFrame = {
-    import spark.implicits._
-    val tExpr =
-      if (cfg.numTypes == 1) lit(0)
-      else {
-        val m = col("id") % 6
-        when(m <= 2, 0).when(m <= 4, 1).otherwise(2)
-      }
-    spark.range(cfg.numNodes).select($"id", tExpr.cast("int") as "type")
+  /** One skewed endpoint column over 0-based node ids: node k drawn with
+    * probability ~ (k+1)^-alpha for alpha in (0, 1), via the exact inverse
+    * CDF of the truncated continuous power law,
+    *   x = (1 + u * (n^(1-alpha) - 1))^(1/(1-alpha)).
+    * The alpha < 1 regime keeps the head hot but not degenerate — node 0
+    * is ~n^alpha times hotter than node n.
+    */
+  private def zipfNode(cfg: DatasetConfig, seed: Long): Column = {
+    val (nNodes, alpha) = (cfg.numNodes.toLong, cfg.alpha)
+    require(alpha > 0 && alpha < 1, s"graph endpoint skew requires alpha in (0,1), got $alpha")
+    val span = math.pow(nNodes.toDouble, 1.0 - alpha) - 1.0
+    least(lit(nNodes - 1),
+          greatest(lit(0L),
+            (pow(lit(1.0) + rand(seed) * span, lit(1.0 / (1.0 - alpha))) - 1.0).cast(LongType)))
   }
 
   /** Build the broadcastable CSR for `cfg` (collects the edge frame). */
@@ -95,10 +113,10 @@ object GraphGen {
     CSRGraph.fromUndirectedEdges(cfg.numNodes, us, vs, ws, types, math.max(cfg.numTypes, 1))
   }
 
-  /** A heterogeneous view of a homogeneous dataset — fairwalk (and the
-    * Table VII edge2vec runs) need type info on networks that have none,
-    * mirroring the paper's randomly-generated type assignment. Its nodes
-    * take `typeOf`'s three types.
+  /** A heterogeneous view of a homogeneous dataset — fairwalk needs type
+    * info on networks that have none, mirroring the paper's
+    * randomly-generated type assignment. Its nodes take `typeOf`'s three
+    * types.
     */
   def withGeneratedTypes(g: CSRGraph): CSRGraph = {
     if (g.isHeterogeneous) g

@@ -1,32 +1,36 @@
 package repro.graph
 
-import org.apache.spark.sql.functions._
-
 import repro.{Oracle, SparkSpec}
+import repro.exp.TableV
 
-/** Graph statistics computed in Spark SQL, cross-checked row-for-row
-  * against DuckDB via the oracle (Table V's measurement path).
+/** The CSR the walks read, cross-checked against DuckDB queries over the
+  * generator's edge frame (Table V's measurement path).
   */
 class GraphStatsSpec extends SparkSpec {
+  import spark.implicits._
 
   private lazy val cfg = GraphGen.datasets("ACM")
   private lazy val edges = GraphGen.edgesDF(spark, cfg).cache()
-  private lazy val nodes = GraphGen.nodesDF(spark, cfg).cache()
+  private lazy val g = GraphGen.buildCSR(spark, cfg)
+
+  /** The CSR's nodes with at least one edge: DuckDB's GROUP BY over the
+    * edge frame has a row for exactly these.
+    */
+  private def linkedNodes: Seq[Int] = (0 until g.numNodes).filter(g.degree(_) > 0)
 
   test("edge count matches DuckDB") {
-    val df = edges.agg(count(lit(1)) as "n")
-    Oracle.assertEquivalent(df, "SELECT count(*) AS n FROM edges", "edges" -> edges)
+    Oracle.assertEquivalent(Seq(g.numUndirectedEdges).toDF("n"),
+      "SELECT count(*) AS n FROM edges", "edges" -> edges)
   }
 
   test("directed view doubles the edge count (oracle)") {
-    val df = GraphStats.directedView(edges).agg(count(lit(1)) as "n")
-    Oracle.assertEquivalent(df,
+    Oracle.assertEquivalent(Seq(g.numDirectedEdges.toLong).toDF("n"),
       "SELECT count(*) AS n FROM (SELECT src, dst FROM edges UNION ALL SELECT dst, src FROM edges)",
       "edges" -> edges)
   }
 
   test("per-node degrees match DuckDB") {
-    val df = GraphStats.degrees(edges)
+    val df = linkedNodes.map(v => (v.toLong, g.degree(v).toLong)).toDF("node", "degree")
     Oracle.assertEquivalent(df,
       """SELECT node, count(*) AS degree FROM (
         |  SELECT src AS node FROM edges UNION ALL SELECT dst AS node FROM edges
@@ -35,23 +39,28 @@ class GraphStatsSpec extends SparkSpec {
   }
 
   test("type histogram matches DuckDB") {
-    val df = GraphStats.typeHistogram(nodes)
+    val df = (0 until g.numNodes).groupBy(g.nodeType).toSeq
+      .map { case (t, vs) => (t, vs.size.toLong) }.toDF("type", "cnt")
+    // The 1/2, 1/3, 1/6 type rule restated in SQL over the node ids.
     Oracle.assertEquivalent(df,
-      "SELECT type, count(*) AS cnt FROM nodes GROUP BY type",
-      "nodes" -> nodes)
+      s"""SELECT CASE WHEN id % 6 <= 2 THEN 0 WHEN id % 6 <= 4 THEN 1 ELSE 2 END AS type,
+         |       count(*) AS cnt
+         |FROM range(${cfg.numNodes}) AS nodes(id) GROUP BY type""".stripMargin)
   }
 
   test("mean degree via SQL matches CSR meanDegree") {
-    val g = GraphGen.buildCSR(spark, cfg)
-    val e = GraphStats.edgeCount(edges)
-    assert(math.abs(2.0 * e / cfg.numNodes - g.meanDegree) < 1e-9)
+    val s = TableV.forConfig(spark, cfg)
+    assert(s.numEdges == g.numUndirectedEdges)
+    assert(math.abs(s.meanDegree - g.meanDegree) < 1e-9)
   }
 
   test("weighted degree (strength) matches DuckDB") {
-    val directed = edges.select(col("src"), col("dst"), col("weight"))
-      .union(edges.select(col("dst") as "src", col("src") as "dst", col("weight")))
-    val df = directed.groupBy(col("src") as "node")
-      .agg(round(sum(col("weight")), 3) as "strength")
+    // Weights are multiples of 1/1000, so the CSR's float sums round to
+    // the same three decimals as DuckDB's double sums.
+    val df = linkedNodes.map { v =>
+      val s = (g.offset(v) until g.offset(v + 1)).map(g.weight(_).toDouble).sum
+      (v.toLong, math.round(s * 1000) / 1000.0)
+    }.toDF("node", "strength")
     Oracle.assertEquivalent(df,
       """SELECT node, round(sum(weight), 3) AS strength FROM (
         |  SELECT src AS node, CAST(weight AS DOUBLE) AS weight FROM edges
@@ -61,18 +70,11 @@ class GraphStatsSpec extends SparkSpec {
   }
 
   test("forConfig produces the Table V row shape") {
-    val s = GraphStats.forConfig(spark, cfg)
+    val s = TableV.forConfig(spark, cfg)
     assert(s.name == "ACM")
     assert(s.numNodes == cfg.numNodes)
     assert(s.numEdges > 0)
     assert(math.abs(s.meanDegree - 2.0 * s.numEdges / s.numNodes) < 1e-9)
     assert(s.numNodeTypes == 3)
-  }
-
-  test("forGraph agrees with forConfig on the same dataset") {
-    val fromDf = GraphStats.forConfig(spark, cfg)
-    val fromCsr = GraphStats.forGraph("ACM", GraphGen.buildCSR(spark, cfg))
-    assert(fromDf.numEdges == fromCsr.numEdges)
-    assert(math.abs(fromDf.meanDegree - fromCsr.meanDegree) < 1e-9)
   }
 }
