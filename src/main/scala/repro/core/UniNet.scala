@@ -23,11 +23,11 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   val accepts: LongAccumulator = spark.sparkContext.longAccumulator("accepts")
   val initNanos: LongAccumulator = spark.sparkContext.longAccumulator("initNanos")
   val initCount: LongAccumulator = spark.sparkContext.longAccumulator("initCount")
-  /** Partition-local sampler bytes the job allocated: memory-aware's lazy
-    * alias tables, plus the LAST_x arrays M-H newly allocated. Those
-    * arrays are recycled across tasks, so per JVM this is at most
-    * min(partitions, cores) arrays' worth; a factory reused across jobs
-    * reports nothing for the arrays already in its pool.
+  /** Sampler bytes the job allocated outside the prepared factory:
+    * memory-aware's lazy alias tables, plus M-H's LAST_x array. Every task
+    * of an executor shares that one array, so a job reports one array per
+    * executor, and a later job on the same factory, graph and model
+    * reports nothing for it.
     */
   val localBytes: LongAccumulator = spark.sparkContext.longAccumulator("localBytes")
 
@@ -37,7 +37,7 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   def acceptanceRatio: Double =
     if (trials.value == 0) Double.NaN else accepts.value.toDouble / trials.value
 
-  /** Adds one task's counters; call before the sampler is released. */
+  /** Adds one task's counters. */
   private[core] def flush(sampler: EdgeSampler): Unit = {
     val st = sampler.stats
     steps.add(st.steps); trials.add(st.trials)
@@ -52,12 +52,21 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   * The CSR network is broadcast once; walkers are a range RDD of
   * (startNode, walkIndex) pairs, split over `numPartitions` partitions.
   * Each partition instantiates one edge sampler from the (broadcast,
-  * already-prepared) factory — sampler state such as LAST_x or lazy alias
-  * tables is partition-local, mirroring the paper's per-thread walkers:
-  * the per-state Markov chains of different partitions are independent,
-  * which preserves the M-H convergence argument. The sampler goes back to
-  * the factory when its task completes; M-H recycles the LAST_x storage,
-  * reset, for the executor's next task.
+  * already-prepared) factory. Lazy alias tables are partition-local. M-H's
+  * LAST_x is not: as in the paper's single sampler manager (§IV-C), every
+  * task of an executor walks the same per-state Markov chains, which its
+  * copy of the factory keeps for as long as it lives. Tasks that run at
+  * the same time update those chains without locks (Hogwild!, Recht et
+  * al. 2011): a lost update costs one chain step, and every emitted edge
+  * is still drawn from the state's neighbours by Alg. 1.
+  *
+  * One consequence for M-H: a task's walks depend on the chain positions
+  * that earlier and concurrent tasks left behind. A one-partition job on
+  * a fresh factory gives the same corpus for the same seed; with more
+  * partitions the seed fixes the start nodes, but the walks depend on
+  * task scheduling. Likewise a recomputed partition (a task retry, a
+  * cache eviction, a second action on an unpersisted corpus) draws
+  * different, equally valid walks.
   */
 object UniNet {
 
@@ -109,12 +118,9 @@ object UniNet {
         val g = bcGraph.value
         val factory = bcFactory.value
         val sampler = factory.create(g, model)
-        // Flush the counters and recycle the sampler when the task ends,
-        // also when its consumer stops early (take, first) or it is killed.
-        TaskContext.get().addTaskCompletionListener[Unit] { _ =>
-          acc.flush(sampler)
-          factory.release(sampler)
-        }
+        // Flush the counters when the task ends, also when its consumer
+        // stops early (take, first) or it is killed.
+        TaskContext.get().addTaskCompletionListener[Unit] { _ => acc.flush(sampler) }
         val rng = new SplittableRandom(seed * 1000003L + pid)
         it.map(i => runWalk(g, model, sampler, (i % n).toInt, walkLen, rng))
       }

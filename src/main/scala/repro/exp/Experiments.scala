@@ -21,7 +21,12 @@ object Experiments {
   val PaperWalks = 10
   val PaperWalkLen = 80
 
-  /** The paper's default parallelism. */
+  /** The paper's default parallelism: its 16 walker threads, kept as the
+    * walk job's partition count on any host. A host with fewer cores runs
+    * the partitions as successive tasks, and since every M-H task shares
+    * its executor's chains, the number of chains, their inits and their
+    * LAST_x bytes do not depend on the partition count.
+    */
   val Parallelism = 16
 
   /** Timed runs per cell of Tables II and VII after a warm-up; cells keep the minimum. */

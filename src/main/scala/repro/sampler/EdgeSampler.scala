@@ -12,9 +12,10 @@ import repro.graph.{CSRGraph, DatasetConfig}
   * rejection-style samplers and M-H (Table II); `preAccepts` counts
   * KnightKing's accepts that skipped the weight. `initNanos` separates
   * lazy initialization work out of the walking phase (Ti vs Tw in
-  * Table VI). `localBytes` is the sampler-private storage this sampler
-  * allocated: memory-aware's lazily built alias tables, or a freshly
-  * allocated M-H LAST_x array (a recycled one adds nothing).
+  * Table VI). `localBytes` is the storage this sampler allocated outside
+  * the prepared factory: memory-aware's lazily built alias tables, or the
+  * M-H LAST_x array when this sampler was the first its factory created
+  * for the graph and model (the samplers that share it add nothing).
   */
 final class LocalStats {
   var steps: Long = 0
@@ -51,8 +52,7 @@ abstract class EdgeSampler(g: CSRGraph) {
   * weights, precomputed per-state tables, budget assignments); its wall
   * time is the initialization cost Ti of Tables VI/VII. The prepared
   * factory is broadcast; `create` then instantiates the cheap per-partition
-  * mutable part, and `release` takes it back when the partition's task
-  * completes.
+  * mutable part.
   */
 trait SamplerFactory extends Serializable {
   def name: String
@@ -63,11 +63,6 @@ trait SamplerFactory extends Serializable {
   def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit = ()
 
   def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler
-
-  /** Hands back a sampler from `create` whose task has completed, so its
-    * per-task state can be recycled; it must not be used afterwards.
-    */
-  def release(sampler: EdgeSampler): Unit = ()
 
   /** Bytes of sampler-owned state at *this* graph's scale (excludes the
     * CSR itself); the paper-scale OOM accounting lives in [[MemoryModel]].

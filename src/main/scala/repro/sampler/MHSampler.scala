@@ -1,7 +1,7 @@
 package repro.sampler
 
 import java.util.SplittableRandom
-import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicIntegerArray
 
 import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.{CSRGraph, DatasetConfig}
@@ -37,43 +37,49 @@ final case class BurnInInit(iterations: Int = 100) extends InitStrategy { val na
   * of memory per state, and the target distribution never needs
   * normalizing — which is what lets UniNet support arbitrary user models
   * (Challenge 2) at billion-edge scale (Challenge 1).
+  *
+  * The factory is the paper's sampler manager (§IV-C): it holds one
+  * LAST_x array, and every sampler it creates for the same (graph, model)
+  * walks the same chains, one per state, Hogwild-style.
   */
 final class MHSamplerFactory(val init: InitStrategy) extends SamplerFactory {
   override def name = s"mh(${init.name})"
 
-  /** Idle LAST_x arrays, recycled across the walk tasks of one JVM. The
+  /** The shared LAST_x array and the (graph, model name) it indexes. The
     * field is not serialized, so each executor's copy of the broadcast
-    * factory starts with an empty pool (in local mode every task sees the
-    * driver's instance). A task returns its array when it completes, so a
-    * JVM holds at most one array per task slot, not one per partition.
+    * factory allocates its own array on first use (in local mode every
+    * task sees the broadcast instance itself) and keeps it for every
+    * later task and job on the same graph and model.
     */
-  @transient private lazy val pool = new ConcurrentLinkedQueue[Array[Int]]
+  @transient private var manager: (CSRGraph, String, AtomicIntegerArray) = _
 
-  /** Takes an idle array of `numSlots` entries from the pool, or allocates
-    * one and charges its bytes to the new sampler's `localBytes`; pooled
-    * arrays of another length are dropped. Every slot starts at -1, so
-    * each chain starts fresh whatever graph the array served before.
+  /** A sampler on the shared LAST_x array of (`g`, `model`). The first
+    * call for a pair allocates the array with every slot at -1
+    * (uninitialized) and charges its bytes to that sampler's
+    * `localBytes`; later calls share it and charge nothing. Another graph
+    * or model replaces the array with a fresh one.
     */
   override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
-    val n = model.numSlots(g)
-    var slots = pool.poll()
-    while (slots != null && slots.length != n) slots = pool.poll()
-    val sampler = new MHSampler(g, model, init, if (slots != null) slots else new Array[Int](n))
-    if (slots == null) sampler.stats.localBytes = 4L * n
-    java.util.Arrays.fill(sampler.slots, -1)
+    val (slots, fresh) = synchronized {
+      manager match {
+        case (mg, mName, a) if (mg eq g) && mName == model.name => (a, false)
+        case _ =>
+          val a = new AtomicIntegerArray(model.numSlots(g))
+          var i = 0
+          while (i < a.length) { a.setPlain(i, -1); i += 1 }
+          manager = (g, model.name, a)
+          (a, true)
+      }
+    }
+    val sampler = new MHSampler(g, model, init, slots)
+    if (fresh) sampler.stats.localBytes = 4L * slots.length
     sampler
   }
 
-  override def release(sampler: EdgeSampler): Unit = sampler match {
-    case s: MHSampler => pool.offer(s.slots)
-    case _            =>
-  }
-
-  /** LAST_x bytes at the paper's accounting, 4 bytes per state. A walk
-    * task's array also has one prev-less slot per node for second-order
-    * models, and arrays are recycled per task slot, so a walk job holds at
-    * most min(partitions, cores) of them per JVM; what it really allocates
-    * is the job's `localBytes`.
+  /** LAST_x bytes at the paper's accounting, 4 bytes per state. The shared
+    * array also has one prev-less slot per node for second-order models;
+    * what it really allocates is the job's `localBytes`, one array per
+    * executor.
     */
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
     4L * model.numStates(g)
@@ -82,12 +88,18 @@ final class MHSamplerFactory(val init: InitStrategy) extends SamplerFactory {
     4L * MemoryModel.paperStates(cfg, secondOrder)
 }
 
+/** One walker's view of the sampler manager. `slots` may be shared with
+  * samplers on other threads: a state's first touch is a compare-and-set
+  * from -1, so exactly one thread counts its init, and a later step is a
+  * plain int store, so a concurrent step can at worst overwrite one
+  * transition of the chain (Hogwild!, Recht et al. 2011).
+  */
 final class MHSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     init: InitStrategy,
     // LAST_x of every state, indexed by `model.slot`; -1 = uninitialized.
-    val slots: Array[Int],
+    val slots: AtomicIntegerArray,
 ) extends EdgeSampler(g) {
   private final val NoEdge = -2 // LAST_x of an initialized state that permits no edge
 
@@ -159,14 +171,16 @@ final class MHSampler(
   /** Alg. 1: one M-H transition of state x's chain, returning LAST_x. */
   override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     val x = model.slot(g, s)
-    var last = slots(x)
+    var last = slots.getPlain(x)
     if (last < 0) {
       if (last == NoEdge) return -1
       val t0 = System.nanoTime()
-      last = initialEdge(s, rng)
+      val e = initialEdge(s, rng)
+      val first = if (e < 0) NoEdge else e
       stats.initNanos += System.nanoTime() - t0
-      stats.initCount += 1
-      if (last < 0) { slots(x) = NoEdge; return -1 } // no permitted edge: the walk is stuck
+      if (slots.compareAndSet(x, -1, first)) { stats.initCount += 1; last = first }
+      else last = slots.get(x) // another walker initialized x first: adopt its chain
+      if (last == NoEdge) return -1 // the walk is stuck
     }
     stats.trials += 1
     val cand = propose(s, last, d, rng)
@@ -174,7 +188,7 @@ final class MHSampler(
       last = cand
       stats.accepts += 1
     }
-    slots(x) = last
+    slots.setPlain(x, last)
     last
   }
 }

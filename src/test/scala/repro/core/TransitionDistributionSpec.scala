@@ -84,9 +84,10 @@ class TransitionDistributionSpec extends SparkSpec {
     val m = new Node2Vec(0.25, 4.0)
     val emp = secondStepDist(g, m, new MHSamplerFactory(HighWeightInit()), 1, 0, 60_000, 29L)
     val target = TestGraphs.targetDistribution(g, m, WalkState(1, 0, 0))
-    // M-H chains re-initialize per partition and correlate across walks
-    // touching the same state; tolerance is looser but the shape must hold.
-    assert(TestGraphs.l1(emp, target) < 0.12)
+    // All walks at state (1, 0) read one shared chain, so consecutive
+    // draws are correlated; the tolerance is looser than the direct
+    // sampler's (measured L1 0.009-0.021 over five runs).
+    assert(TestGraphs.l1(emp, target) < 0.06)
   }
 
   test("fairwalk equalizes type masses in first-step frequencies (M-H)") {

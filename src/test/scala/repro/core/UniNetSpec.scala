@@ -3,11 +3,12 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 
 import repro.{SparkSpec, TestGraphs}
+import repro.graph.GraphGen
 import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
 import repro.sampler.{DirectSamplerFactory, HighWeightInit, MHSamplerFactory, SamplerFactory}
 
 /** Walker life cycle on Spark (Alg. 2): counts, lengths, edge validity,
-  * parallel independence, and stats plumbing.
+  * reproducibility, M-H chains shared across tasks, and stats plumbing.
   */
 class UniNetSpec extends SparkSpec {
   private lazy val g = TestGraphs.mediumGraph(n = 100, mult = 3)
@@ -44,11 +45,22 @@ class UniNetSpec extends SparkSpec {
   }
 
   test("same seed reproduces the same walks; different seeds differ") {
-    val (a, _) = walks(new DeepWalk, seed = 5)
-    val (b, _) = walks(new DeepWalk, seed = 5)
-    val (c, _) = walks(new DeepWalk, seed = 6)
-    assert(a.map(_.toSeq).toSeq == b.map(_.toSeq).toSeq)
-    assert(a.map(_.toSeq).toSeq != c.map(_.toSeq).toSeq)
+    val bcD = spark.sparkContext.broadcast(DirectSamplerFactory: SamplerFactory)
+    def run(bc: Broadcast[SamplerFactory], parts: Int, seed: Long) =
+      UniNet.generateWalksPrepared(spark, bcG, new DeepWalk, bc, 2, 10, parts, seed)
+        ._1.collect().map(_.toSeq).toSeq
+    // Direct draws keep no state across tasks, and a one-partition M-H job
+    // on a fresh factory walks its chains in one fixed order.
+    assert(run(bcD, 4, 5L) == run(bcD, 4, 5L))
+    assert(run(bcD, 4, 5L) != run(bcD, 4, 6L))
+    assert(run(bcMH(), 1, 5L) == run(bcMH(), 1, 5L))
+    assert(run(bcMH(), 1, 5L) != run(bcMH(), 1, 6L))
+    // Concurrent M-H tasks share chains, so the seed fixes only the starts
+    // (and, on this connected graph, the lengths); every hop is an edge.
+    val (a, b) = (run(bcMH(), 4, 5L), run(bcMH(), 4, 5L))
+    assert(a.map(w => (w.head, w.length)).sorted == b.map(w => (w.head, w.length)).sorted)
+    for (w <- a ++ b; Seq(u, v) <- w.sliding(2)) assert(g.hasEdge(u, v), s"($u,$v) not an edge")
+    bcD.destroy()
   }
 
   test("step counters add up to the walk work") {
@@ -108,40 +120,53 @@ class UniNetSpec extends SparkSpec {
   }
 
   test("recycled M-H LAST_x arrays reproduce a fresh factory's walks") {
-    val m = new Node2Vec(0.5, 2.0)
-    val bcF = bcMH()
+    // Unit weights and degree 4: every candidate is accepted and the exact
+    // high-weight init draws no random numbers, so a chain's past cannot
+    // show in its walks, and a job on a dirty shared array must walk what a
+    // fresh factory walks, at any number of concurrent tasks.
+    val n = 60
+    val uni = GraphGen.fromTriples(n, (0 until n).flatMap(v =>
+      Seq((v, (v + 1) % n, 1.0), (v, (v + 7) % n, 1.0))))
+    val bcU = spark.sparkContext.broadcast(uni)
+    val m = new DeepWalk
     def run(bc: Broadcast[SamplerFactory], parts: Int, seed: Long) = {
-      val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, m, bc, 2, 10, parts, seed)
+      val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcU, m, bc, 2, 10, parts, seed)
       (rdd.collect().map(_.toSeq).toSeq, acc.localBytes.value)
     }
-    val (_, dirtyBytes) = run(bcF, 4, 5L) // leaves its chains in the pool
+    val bcF = bcMH()
+    val (_, dirtyBytes) = run(bcF, 4, 5L) // leaves its chains in the shared array
     val (reused, reusedBytes) = run(bcF, 4, 3L)
-    val fresh = UniNet.generateWalksPrepared(spark, bcG, m, bcMH(), 2, 10, 4, 3L)._1.collect()
-    assert(reused == fresh.map(_.toSeq).toSeq)
-    // Both jobs together hold no more than one job's pool.
-    val perManager = 4L * (0 until g.numNodes).map(m.bucketSize(g, _).toLong).sum
-    val slots = math.min(4, spark.sparkContext.defaultParallelism)
-    assert(dirtyBytes + reusedBytes <= slots * perManager)
-    // A 1-partition job repeated on the same factory touches the same
-    // states, so its recycled array allocates nothing new.
+    val (fresh, _) = run(bcMH(), 4, 3L)
+    assert(reused == fresh)
+    assert(dirtyBytes == 4L * m.numSlots(uni) && reusedBytes == 0L)
+    // A 1-partition job repeated on the same factory allocates nothing new.
     val bc1 = bcMH()
     val (once, onceBytes) = run(bc1, 1, 7L)
     val (twice, twiceBytes) = run(bc1, 1, 7L)
     assert(once == twice)
     assert(onceBytes > 0 && twiceBytes == 0L)
-    bcF.destroy(); bc1.destroy()
+    bcF.destroy(); bc1.destroy(); bcU.destroy()
   }
 
   test("M-H LAST_x bytes follow the cores that ran the job, not the partitions") {
+    // One array per executor's copy of the factory (one JVM in local mode),
+    // whatever the number of partitions or of cores that ran them.
     val m = new Node2Vec(0.5, 2.0)
-    val perManager = 4L * (0 until g.numNodes).map(m.bucketSize(g, _).toLong).sum
+    val arrayBytes = 4L * m.numSlots(g)
     for (parts <- Seq(1, 4, 16)) {
-      val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, m, bcMH(), 2, 10, parts, 11L)
-      rdd.count()
-      val slots = math.min(parts, spark.sparkContext.defaultParallelism)
-      assert(acc.localBytes.value > 0)
-      assert(acc.localBytes.value <= slots * perManager,
-             s"$parts partitions: ${acc.localBytes.value} B > $slots x $perManager B")
+      val bcF = bcMH()
+      def run() = {
+        val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, m, bcF, 2, 10, parts, 11L)
+        rdd.count()
+        acc.localBytes.value
+      }
+      assert(run() == arrayBytes, s"$parts partitions")
+      assert(run() == 0L, s"$parts partitions: a second job reallocated LAST_x")
+      bcF.destroy()
     }
+    // One chain per state: a deepwalk job initializes each node at most once.
+    val (rdd, acc) = UniNet.generateWalksPrepared(spark, bcG, new DeepWalk, bcMH(), 2, 10, 16, 11L)
+    rdd.count()
+    assert(acc.initCount.value > 0 && acc.initCount.value <= g.numNodes, acc.initCount.value)
   }
 }

@@ -1,6 +1,7 @@
 package repro.sampler
 
 import java.util.SplittableRandom
+import java.util.concurrent.{Callable, CyclicBarrier, Executors}
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
@@ -11,7 +12,8 @@ import repro.graph.GraphGen
 import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
 
 /** M-H edge sampler (Alg. 1): chain convergence to arbitrary unnormalized
-  * targets, O(1) bookkeeping, and the paper's theoretical properties.
+  * targets, O(1) bookkeeping, chains shared by concurrent walkers, and
+  * the paper's theoretical properties.
   */
 class MHSamplerSpec extends AnyFunSuite with PropHelpers {
 
@@ -117,39 +119,66 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     smp.sample(WalkState(1, 0, 0), rng)
     smp.sample(WalkState(2, 0, 0), rng)
     assert(smp.stats.initCount == 2) // two distinct states touched
-    // A fresh sampler allocates its whole flat LAST_x array up front.
+    // A fresh factory's first sampler allocates the whole flat LAST_x array.
     assert(smp.stats.localBytes == 4L * m.numSlots(g))
     smp.sample(WalkState(0, 1, 0), rng)
     assert(smp.stats.localBytes == 4L * m.numSlots(g))
   }
 
-  test("released managers are recycled, reset, only into the same layout") {
+  test("samplers of one factory share LAST_x only for the same graph and model") {
     val g = TestGraphs.trianglePendant
     val f = new MHSamplerFactory(RandomInit)
     val rng = new SplittableRandom(5)
     val a = f.create(g, new DeepWalk).asInstanceOf[MHSampler]
-    a.sample(WalkState(-1, 0, 0), rng)
-    f.release(a)
+    assert(a.stats.localBytes == 4L * g.numNodes)
+    assert(a.sample(WalkState(-1, 0, 0), rng) >= 0)
+    // Every task deserializes its own model; an equal one shares the chains.
     val b = f.create(g, new DeepWalk).asInstanceOf[MHSampler]
     assert(b.slots eq a.slots)
-    assert(b.slots.forall(_ == -1))
-    (0 until g.numNodes).foreach(v => b.sample(WalkState(-1, v, 0), rng))
-    f.release(b)
-    // Another graph with as many slots takes the dirty array and draws
-    // exactly what a fresh factory's sampler draws.
-    val star = TestGraphs.starWithWeights(Seq(1, 5, 2))
-    def draws(smp: EdgeSampler): Seq[Int] = {
-      val r = new SplittableRandom(9)
-      (0 until 200).map(i => smp.sample(WalkState(-1, i % star.numNodes, 0), r))
+    assert(b.stats.localBytes == 0L)
+    assert(b.sample(WalkState(-1, 0, 0), rng) >= 0)
+    assert(a.stats.initCount + b.stats.initCount == 1)
+    // Another model or graph gets a fresh array, all slots uninitialized.
+    val others = Seq((g, new Node2Vec(1, 1)), (TestGraphs.starWithWeights(Seq(1, 5, 2)), new DeepWalk))
+    for ((g2, m2) <- others) {
+      val c = f.create(g2, m2).asInstanceOf[MHSampler]
+      assert(!(c.slots eq a.slots), m2.name)
+      assert(c.stats.localBytes == 4L * m2.numSlots(g2), m2.name)
+      assert((0 until c.slots.length).forall(c.slots.get(_) == -1), m2.name)
     }
-    val c = f.create(star, new DeepWalk).asInstanceOf[MHSampler]
-    assert(c.slots eq a.slots)
-    assert(draws(c) == draws(make(star, new DeepWalk)))
-    f.release(c)
-    // Deepwalk's |V| slots do not fit node2vec's |E| + |V| layout.
-    val d = f.create(g, new Node2Vec(1, 1)).asInstanceOf[MHSampler]
-    assert(!(d.slots eq a.slots))
-    assert(d.sample(WalkState(1, 0, 0), rng) >= 0)
+  }
+
+  test("walkers on four threads share chains: valid edges, one init per state") {
+    val g = TestGraphs.mediumGraph(n = 60, mult = 3)
+    val m = new Node2Vec(0.25, 4.0)
+    // Second-order states (prev, cur) of a few nodes, every walker in the
+    // same order, so first touches collide.
+    val states =
+      for (v <- 0 until 8; j <- 0 until g.degree(v)) yield WalkState(g.dst(g.offset(v) + j), v, 0)
+    val threads = 4
+    val pool = Executors.newFixedThreadPool(threads)
+    try {
+      for (round <- 0 until 50) {
+        val f = new MHSamplerFactory(HighWeightInit())
+        val barrier = new CyclicBarrier(threads)
+        val tasks = (0 until threads).map { t =>
+          pool.submit(new Callable[(Seq[WalkState], Long)] { def call() = {
+            val smp = f.create(g, m)
+            val rng = new SplittableRandom(round * threads + t)
+            barrier.await()
+            val bad = (0 until 20).flatMap(_ => states).filter { s =>
+              val e = smp.sample(s, rng)
+              e < g.offset(s.cur) || e >= g.offset(s.cur) + g.degree(s.cur) ||
+                m.calculateWeight(g, s, e) <= 0
+            }
+            (bad, smp.stats.initCount)
+          }})
+        }
+        val results = tasks.map(_.get())
+        assert(results.flatMap(_._1).isEmpty, s"round $round: invalid edges")
+        assert(results.map(_._2).sum == states.size, s"round $round: init count")
+      }
+    } finally pool.shutdownNow()
   }
 
   test("acceptance is perfect for uniform targets, partial for skewed ones") {
