@@ -104,7 +104,11 @@ trait RandomWalkModel extends Serializable {
   /** Total number of states over the network (paper Table I) — one per
     * slot for first-order models (|V|, or |V| * |Phi| for metapath2vec),
     * |E| (directed) for second-order ones, whose prev-less first-step
-    * slots are not counted.
+    * slots are not counted. M-H's LAST_x array has `numSlots` entries, so
+    * for second-order models it holds |V| slots more than this; the walk
+    * job's `localBytes` measures it. The check that it stays within
+    * 4 * numStates is open (ROADMAP item 2); this count stays Table I's
+    * rather than absorbing the prev-less slots.
     */
   def numStates(g: CSRGraph): Long =
     if (isSecondOrder) g.numDirectedEdges.toLong else numSlots(g).toLong

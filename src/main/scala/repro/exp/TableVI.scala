@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{RandomWalkModel, RunConfig, RunResult}
 import repro.graph.GraphGen
 import repro.model._
-import repro.sampler.{DirectSamplerFactory, MemoryModel}
+import repro.sampler.DirectSamplerFactory
 
 /** Table VI: end-to-end training cost (Ti, Tw, Tl, Tt) of the five NRL
   * models under three implementations —
@@ -188,21 +188,4 @@ object TableVI {
     "Table VI: end-to-end cost of five NRL models (seconds; '*' = OOM at paper scale on a 96 GB server)\n" +
       Experiments.renderTable(header, body)
   }
-
-  /** The paper-scale OOM pattern alone (no timing runs): per (model,
-    * dataset), whether the open-sourced, UniNet (Orig) and UniNet (M-H)
-    * cells OOM.
-    */
-  def oomPattern: Seq[(String, String, Boolean, Boolean, Boolean)] =
-    Benchmarks.flatMap { mb =>
-      mb.datasets.map { ds =>
-        val cfg = GraphGen.datasets(ds)
-        val model = mb.model
-        val orig = Experiments.origFactory(model)
-        (mb.modelName, ds,
-         MemoryModel.ooms(cfg, orig, model.isSecondOrder, openSourceImpl = true),
-         MemoryModel.ooms(cfg, orig, model.isSecondOrder),
-         MemoryModel.ooms(cfg, Experiments.mhFactory, model.isSecondOrder))
-      }
-    }
 }

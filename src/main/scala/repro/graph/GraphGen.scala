@@ -140,12 +140,4 @@ object GraphGen {
     val (su, sv) = (us.result(), vs.result())
     CSRGraph.fromUndirectedEdges(numNodes, su, sv, Array.fill(su.length)(1f))
   }
-
-  /** Small hand-buildable graph helper for tests: edges as (u, v, w). */
-  def fromTriples(numNodes: Int, edges: Seq[(Int, Int, Double)],
-                  types: Array[Byte] = null, numTypes: Int = 1): CSRGraph =
-    CSRGraph.fromUndirectedEdges(
-      numNodes,
-      edges.map(_._1).toArray, edges.map(_._2).toArray, edges.map(_._3.toFloat).toArray,
-      types, numTypes)
 }

@@ -76,13 +76,10 @@ final class MHSamplerFactory(val init: InitStrategy) extends SamplerFactory {
     sampler
   }
 
-  /** LAST_x bytes at the paper's accounting, 4 bytes per state. The shared
-    * array also has one prev-less slot per node for second-order models;
-    * what it really allocates is the job's `localBytes`, one array per
-    * executor.
+  /** Zero: `prepare` builds nothing, and the one LAST_x array per executor
+    * is charged to the walk job's `localBytes`, which measures it.
     */
-  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
-    4L * model.numStates(g)
+  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = 0L
 
   override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =
     4L * MemoryModel.paperStates(cfg, secondOrder)

@@ -21,6 +21,12 @@ import repro.graph.DatasetConfig
   *
   * |E|dir is `DatasetConfig.paperEdges`, the directed adjacency count
   * = |V| * mean-degree, matching the paper's Table V convention.
+  *
+  * M-H's #state is Table I's. A second-order model's LAST_x array also
+  * holds one prev-less first-step slot per node, |V| more than #state;
+  * the measured figure is the walk job's `localBytes`. The check that it
+  * stays within the formula is open (ROADMAP item 2), and the formula is
+  * kept as the paper's rather than relaxed to fit.
   */
 object MemoryModel {
   val PaperServerBytes: Long = 96L * (1L << 30)

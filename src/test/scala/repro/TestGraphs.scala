@@ -3,7 +3,7 @@ package repro
 import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, WalkState}
-import repro.graph.{CSRGraph, GraphGen}
+import repro.graph.CSRGraph
 import repro.sampler.EdgeSampler
 
 /** Shared fixtures: hand-built graphs and distribution-comparison helpers
@@ -11,24 +11,32 @@ import repro.sampler.EdgeSampler
   */
 object TestGraphs {
 
+  /** Small hand-built graph: edges as (u, v, w). */
+  def fromTriples(numNodes: Int, edges: Seq[(Int, Int, Double)],
+                  types: Array[Byte] = null, numTypes: Int = 1): CSRGraph =
+    CSRGraph.fromUndirectedEdges(
+      numNodes,
+      edges.map(_._1).toArray, edges.map(_._2).toArray, edges.map(_._3.toFloat).toArray,
+      types, numTypes)
+
   /** Weighted triangle plus a pendant: 0-1-2 triangle, 3 hangs off 0.
     * Degrees: deg(0)=3, deg(1)=2, deg(2)=2, deg(3)=1.
     */
-  def trianglePendant: CSRGraph = GraphGen.fromTriples(4, Seq(
+  def trianglePendant: CSRGraph = fromTriples(4, Seq(
     (0, 1, 1.0), (0, 2, 2.0), (1, 2, 4.0), (0, 3, 0.5)))
 
   /** Star: center 0 with `n` leaves, weights = leaf index (1-based). */
   def weightedStar(n: Int): CSRGraph =
-    GraphGen.fromTriples(n + 1, (1 to n).map(i => (0, i, i.toDouble)))
+    fromTriples(n + 1, (1 to n).map(i => (0, i, i.toDouble)))
 
   /** Star with explicit leaf weights. */
   def starWithWeights(ws: Seq[Double]): CSRGraph =
-    GraphGen.fromTriples(ws.size + 1, ws.zipWithIndex.map { case (w, i) => (0, i + 1, w) })
+    fromTriples(ws.size + 1, ws.zipWithIndex.map { case (w, i) => (0, i + 1, w) })
 
   /** Small typed graph: 6 nodes, types 0,1,2 cycling; near-clique. */
   def typedGraph: CSRGraph = {
     val types = Array[Byte](0, 1, 2, 0, 1, 2)
-    GraphGen.fromTriples(6, Seq(
+    fromTriples(6, Seq(
       (0, 1, 1.0), (0, 2, 1.0), (0, 3, 2.0), (0, 4, 1.0), (0, 5, 1.0),
       (1, 2, 1.0), (1, 3, 1.0), (1, 4, 2.0),
       (2, 3, 1.0), (2, 5, 1.0),
@@ -49,8 +57,8 @@ object TestGraphs {
       if (a != b) edges += ((math.min(a, b), math.max(a, b)))
     }
     val es = edges.toSeq.map { case (u, v) => (u, v, 0.5 + ((u * 31 + v * 17) % 100) / 100.0) }
-    if (numTypes == 1) GraphGen.fromTriples(n, es)
-    else GraphGen.fromTriples(n, es, Array.tabulate(n)(v => (v % numTypes).toByte), numTypes)
+    if (numTypes == 1) fromTriples(n, es)
+    else fromTriples(n, es, Array.tabulate(n)(v => (v % numTypes).toByte), numTypes)
   }
 
   /** Normalized target transition distribution of state `s` under `model`:

@@ -39,6 +39,9 @@ class PipelineSpec extends SparkSpec {
     assert(r.initCount > 0)    // states were lazily initialized
     assert(r.times.tInit > 0)  // ... and their cost shows up in Ti
     assert(r.samplerLocalBytes > 0) // LAST_x storage was allocated
+    // ... once: local mode is one executor, so one array, charged only locally.
+    assert(r.samplerSharedBytes == 0L)
+    assert(r.samplerLocalBytes == 4L * m.numSlots(g))
   }
 
   test("acceptance ratio is reported and sane for M-H") {

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.GraphGen
 import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
 import repro.sampler.{DirectSamplerFactory, HighWeightInit, MHSamplerFactory, SamplerFactory}
 
@@ -125,7 +124,7 @@ class UniNetSpec extends SparkSpec {
     // show in its walks, and a job on a dirty shared array must walk what a
     // fresh factory walks, at any number of concurrent tasks.
     val n = 60
-    val uni = GraphGen.fromTriples(n, (0 until n).flatMap(v =>
+    val uni = TestGraphs.fromTriples(n, (0 until n).flatMap(v =>
       Seq((v, (v + 1) % n, 1.0), (v, (v + 7) % n, 1.0))))
     val bcU = spark.sparkContext.broadcast(uni)
     val m = new DeepWalk

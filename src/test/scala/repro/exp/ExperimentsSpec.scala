@@ -4,10 +4,27 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.model.{DeepWalk, Edge2Vec, FairWalk, MetaPath2Vec, Node2Vec}
-import repro.sampler.{AliasSamplerFactory, DirectSamplerFactory}
+import repro.sampler.{AliasSamplerFactory, DirectSamplerFactory, MemoryModel}
 
 /** Harness plumbing: projections, formatting, and the baseline mapping. */
 class ExperimentsSpec extends AnyFunSuite {
+
+  /** The paper-scale OOM pattern alone (no timing runs): per (model,
+    * dataset), whether the open-sourced, UniNet (Orig) and UniNet (M-H)
+    * cells OOM.
+    */
+  private def oomPattern: Seq[(String, String, Boolean, Boolean, Boolean)] =
+    TableVI.Benchmarks.flatMap { mb =>
+      mb.datasets.map { ds =>
+        val cfg = repro.graph.GraphGen.datasets(ds)
+        val model = mb.model
+        val orig = Experiments.origFactory(model)
+        (mb.modelName, ds,
+         MemoryModel.ooms(cfg, orig, model.isSecondOrder, openSourceImpl = true),
+         MemoryModel.ooms(cfg, orig, model.isSecondOrder),
+         MemoryModel.ooms(cfg, Experiments.mhFactory, model.isSecondOrder))
+      }
+    }
 
   test("origFactory: node2vec gets precompute-all alias, others direct") {
     assert(Experiments.origFactory(new Node2Vec(1, 1)).isInstanceOf[AliasSamplerFactory])
@@ -53,7 +70,7 @@ class ExperimentsSpec extends AnyFunSuite {
   }
 
   test("Table VI OOM pattern matches the paper's '*' cells") {
-    val pattern = TableVI.oomPattern
+    val pattern = oomPattern
     val marks = pattern.map { case (m, d, open, orig, mh) => (m, d) -> ((open, orig, mh)) }.toMap
     assert(marks(("Deepwalk", "Twitter")) == ((false, false, false))) // runs (but >4h in paper)
     assert(marks(("Deepwalk", "Web-UK")) == ((true, false, false)))   // open-source OOM only

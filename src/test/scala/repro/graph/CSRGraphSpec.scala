@@ -126,7 +126,7 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
       } yield (math.min(u, v), math.max(u, v), w.toDouble))
     } yield (n, es.distinctBy(t => (t._1, t._2)))
     forAllSamples(edgeGen) { case (n, es) =>
-      val g = GraphGen.fromTriples(n, es)
+      val g = TestGraphs.fromTriples(n, es)
       assert(g.numDirectedEdges == 2 * es.size)
       es.foreach { case (u, v, w) =>
         val i = g.neighborIndexOf(u, v)

@@ -96,7 +96,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
   test("lazy caches build a state with no permitted edge once") {
     // Path 0-1-2 typed 0,1,0: node 0 has no type-0 neighbor, so the
     // metapath 0-0 dead-ends there.
-    val t = repro.graph.GraphGen.fromTriples(
+    val t = TestGraphs.fromTriples(
       3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array[Byte](0, 1, 0), 2)
     val m = new MetaPath2Vec(Array(0, 0))
     val s = m.initialState(t, 0)

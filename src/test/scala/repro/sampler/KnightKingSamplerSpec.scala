@@ -6,7 +6,6 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.core.WalkState
-import repro.graph.GraphGen
 import repro.model.{DeepWalk, Edge2Vec, MetaPath2Vec, Node2Vec}
 
 /** KnightKing-style sampler: distribution exactness with outlier folding
@@ -99,7 +98,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
     // Star of type-0 nodes: a 0-1 metapath walker at the center has d = 5
     // neighbours and none of the target type, so every proposal is rejected.
     val d = 5
-    val star = GraphGen.fromTriples(d + 1, (1 to d).map(i => (0, i, 1.0)),
+    val star = TestGraphs.fromTriples(d + 1, (1 to d).map(i => (0, i, 1.0)),
                                     Array.fill[Byte](d + 1)(0), numTypes = 2)
     val m = new MetaPath2Vec(Array(0, 1))
     for (optimized <- Seq(true, false)) {

@@ -69,7 +69,7 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     // edges and 32 uniform probes all miss about 72% of the time.
     val leaves = 200
     val types = Array.tabulate[Byte](leaves + 1)(v => if (v == 0) 0 else if (v <= 2) 1 else 2)
-    val g = GraphGen.fromTriples(leaves + 1, (1 to leaves).map(u => (0, u, 1.0)), types, 3)
+    val g = TestGraphs.fromTriples(leaves + 1, (1 to leaves).map(u => (0, u, 1.0)), types, 3)
     val m = new MetaPath2Vec(Array(0, 1))
     val s = m.initialState(g, 0)
     val rng = new SplittableRandom(3)
@@ -91,7 +91,7 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
   test("a state with no permitted edge is initialized once") {
     // Path 0-1-2 typed 0,1,0: node 0 has no type-0 neighbor, so the
     // metapath 0-0 dead-ends there; typedGraph's node 2 is off the path 0-1.
-    val path = GraphGen.fromTriples(3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array[Byte](0, 1, 0), 2)
+    val path = TestGraphs.fromTriples(3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array[Byte](0, 1, 0), 2)
     val deadEnd = new MetaPath2Vec(Array(0, 0))
     val offPath = new MetaPath2Vec(Array(0, 1))
     val cases = Seq((path, deadEnd, deadEnd.initialState(path, 0)),
@@ -216,10 +216,15 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("factory memory formula is 4 bytes per state") {
+    // The formula decides the paper-scale OOM cells; at this graph's scale
+    // the one LAST_x array is the walk job's localBytes, so nothing is shared.
     val g = TestGraphs.trianglePendant
     val f = new MHSamplerFactory(RandomInit)
-    assert(f.memoryBytes(g, new DeepWalk) == 4L * g.numNodes)
-    assert(f.memoryBytes(g, new Node2Vec(1, 1)) == 4L * g.numDirectedEdges)
+    assert(f.memoryBytes(g, new DeepWalk) == 0L)
+    assert(f.memoryBytes(g, new Node2Vec(1, 1)) == 0L)
+    val cfg = GraphGen.datasets("Flickr")
+    assert(f.paperBytes(cfg, secondOrder = false, MemoryModel.PaperServerBytes) == 4L * cfg.paperNodes)
+    assert(f.paperBytes(cfg, secondOrder = true, MemoryModel.PaperServerBytes) == 4L * cfg.paperEdges)
   }
 
   test("Lemma 1: pi_max >= 1/n for random distributions") {

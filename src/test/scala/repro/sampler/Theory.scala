@@ -1,8 +1,8 @@
 package repro.sampler
 
 /** Executable forms of the paper's theoretical results (§III-B, §III-C,
-  * Appendix A) — used by tests to check the implementation against the
-  * theory and by the Fig. 1-style simulation.
+  * Appendix A), used by tests to check the implementation against the
+  * theory.
   */
 object Theory {
 
