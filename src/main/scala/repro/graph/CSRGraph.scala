@@ -10,8 +10,9 @@ import java.util.Arrays
   *
   *  - `offsets(v) .. offsets(v+1)` delimits node v's adjacency slice,
   *  - `neighbors` holds destination node ids, **sorted** within each slice
-  *    so that `hasEdge` / `neighborIndexOf` are O(log deg) binary searches
-  *    (needed by node2vec's dynamic-weight computation, §III-A),
+  *    so that `hasEdge` / `neighborIndexOf` search it in log2(deg) halving
+  *    steps with no data-dependent branch (node2vec's dynamic-weight
+  *    computation makes this search on nearly every step, §III-A),
   *  - `weights` holds the static edge weight w aligned with `neighbors`,
   *  - `nodeTypes` is `null` for homogeneous networks (all nodes type 0).
   *
@@ -57,11 +58,26 @@ final class CSRGraph(
   @inline def edgeType(srcNode: Int, e: Int): Int =
     nodeType(srcNode) * numTypes + nodeType(dst(e))
 
-  /** Index of u within N(v)'s sorted slice, or -1 if (v,u) is not an edge. */
+  /** Index of u within N(v)'s sorted slice, or -1 if (v,u) is not an edge.
+    * When a multigraph slice holds u more than once, the index of the last
+    * copy.
+    *
+    * Each halving step keeps the upper half when its first entry is ≤ u,
+    * so `b` ends on the last entry ≤ u after log2(deg) steps. The step's
+    * only condition picks an offset, which the JIT can compile to a
+    * conditional move, so the loop need not branch on the data.
+    */
   def neighborIndexOf(v: Int, u: Int): Int = {
-    val lo = offsets(v); val hi = offsets(v + 1)
-    val i = Arrays.binarySearch(neighbors, lo, hi, u)
-    if (i >= 0) i - lo else -1
+    val lo = offsets(v)
+    var n = offsets(v + 1) - lo
+    if (n == 0) return -1
+    var b = lo
+    while (n > 1) {
+      val half = n >>> 1
+      if (neighbors(b + half) <= u) b += half
+      n -= half
+    }
+    if (neighbors(b) == u) b - lo else -1
   }
 
   def hasEdge(v: Int, u: Int): Boolean = neighborIndexOf(v, u) >= 0

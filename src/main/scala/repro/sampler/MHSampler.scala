@@ -100,6 +100,12 @@ final class MHSampler(
 ) extends EdgeSampler(g) {
   private final val NoEdge = -2 // LAST_x of an initialized state that permits no edge
 
+  // The probe edges of one high-weight init, drawn before any is weighed.
+  private val probes: Array[Int] = init match {
+    case HighWeightInit(k) => new Array[Int](k)
+    case _                 => null
+  }
+
   /** Uniform draw of a permitted (w' > 0) edge of N(v): up to 32 random
     * probes, then one reservoir-sampling pass over N(v), which keeps the
     * draw uniform however the permitted edges are placed; -1 when no edge
@@ -126,16 +132,27 @@ final class MHSampler(
     chosen
   }
 
-  private def initialEdge(s: WalkState, rng: SplittableRandom): Int = init match {
+  /** LAST_x for the first touch of state `s` under `init`; -1 when `s`
+    * permits no edge.
+    */
+  private[sampler] def initialEdge(s: WalkState, rng: SplittableRandom): Int = init match {
     case RandomInit => randomPermitted(s, rng)
     case HighWeightInit(k) =>
-      // The exact max over N(v) when d <= k, else the max over k uniform probes.
+      // The exact max over N(v) when d <= k, else the first max over k
+      // uniform probes. All probes are drawn before any is weighed: weights
+      // draw no random numbers, so the RNG sequence and the chosen edge are
+      // those of weighing each probe as it is drawn, but the k independent
+      // weight evaluations (node2vec's neighbour searches) no longer wait
+      // behind the RNG, and the CPU overlaps their cache misses.
       val lo = g.offset(s.cur); val d = g.degree(s.cur)
       val exact = d <= k
-      var best = -1; var bestW = 0.0
+      val n = if (exact) d else k
       var j = 0
-      while (j < math.min(d, k)) {
-        val e = lo + (if (exact) j else rng.nextInt(d))
+      if (!exact) while (j < k) { probes(j) = lo + rng.nextInt(d); j += 1 }
+      var best = -1; var bestW = 0.0
+      j = 0
+      while (j < n) {
+        val e = if (exact) lo + j else probes(j)
         val w = model.calculateWeight(g, s, e)
         if (w > bestW) { bestW = w; best = e }
         j += 1

@@ -27,7 +27,12 @@ final class MemoryAwareSamplerFactory(val budgetBytes: Long) extends SamplerFact
 
   // aliasEnabled(v): true when node v's states are assigned the alias method.
   private var aliasEnabled: Array[Boolean] = _
-  private var assignedBytes: Long = 0L
+  private var assigned: Long = 0L
+
+  /** Alias bytes of every state the last `prepare` assigned the alias
+    * method: the most one walk task's lazy tables can take.
+    */
+  def assignedBytes: Long = assigned
 
   override def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit = {
     aliasEnabled = new Array[Boolean](g.numNodes)
@@ -40,7 +45,7 @@ final class MemoryAwareSamplerFactory(val budgetBytes: Long) extends SamplerFact
       if (used + cost <= budgetBytes) { aliasEnabled(v) = true; used += cost }
       i += 1
     }
-    assignedBytes = used
+    assigned = used
   }
 
   override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
@@ -48,10 +53,10 @@ final class MemoryAwareSamplerFactory(val budgetBytes: Long) extends SamplerFact
     new MemoryAwareSampler(g, model, aliasEnabled)
   }
 
-  /** Budgeted upper bound of one partition's alias storage (lazy build may
-    * use less).
+  /** Zero: `prepare` builds no table, and each walk task's sampler charges
+    * the tables it builds to its `localBytes`, which measures them.
     */
-  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = assignedBytes
+  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = 0L
 
   /** Assigns within whatever budget remains after the graph. */
   override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =

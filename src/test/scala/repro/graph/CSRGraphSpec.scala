@@ -62,6 +62,43 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
     assert(g.neighborIndexOf(3, 3) == -1)
   }
 
+  test("neighborIndexOf: empty slice, degree 1, both ends, out of range, duplicates") {
+    // Directed: N(0) = {2, 4, 4, 4, 7}, N(1) = {5}, N(2) = {}.
+    val d = CSRGraph.fromEdges(8, Array(0, 0, 0, 0, 0, 1), Array(4, 7, 2, 4, 4, 5), Array.fill(6)(1.0f))
+    assert(d.neighborIndexOf(2, 0) == -1) // empty slice
+    assert(d.neighborIndexOf(1, 5) == 0) // degree 1
+    assert(d.neighborIndexOf(1, 4) == -1)
+    assert(d.neighborIndexOf(1, 6) == -1)
+    assert(d.neighborIndexOf(0, 2) == 0) // first entry
+    assert(d.neighborIndexOf(0, 7) == 4) // last entry
+    assert(d.neighborIndexOf(0, 1) == -1) // below the slice's minimum
+    assert(d.neighborIndexOf(0, Int.MinValue) == -1)
+    assert(d.neighborIndexOf(0, 8) == -1) // above its maximum
+    assert(d.neighborIndexOf(0, Int.MaxValue) == -1)
+    assert(d.neighborIndexOf(0, 3) == -1) // a gap inside the slice
+    assert(d.neighborIndexOf(0, 4) == 3) // the last of three copies
+  }
+
+  /** Index of the last copy of u in N(v), or -1: a linear scan. */
+  private def scanIndexOf(g: CSRGraph, v: Int, u: Int): Int =
+    (g.degree(v) - 1 to 0 by -1).find(j => g.dst(g.offset(v) + j) == u).getOrElse(-1)
+
+  test("property: neighborIndexOf agrees with a linear scan (random multigraphs)") {
+    val gen = for {
+      n <- Gen.choose(1, 25)
+      m <- Gen.choose(0, 120)
+      es <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    } yield (n, es)
+    forAllSamples(gen, n = 200) { case (n, es) =>
+      val g = CSRGraph.fromEdges(n, es.map(_._1).toArray, es.map(_._2).toArray, Array.fill(es.size)(1.0f))
+      for (v <- 0 until n; u <- -1 to n) {
+        val i = g.neighborIndexOf(v, u)
+        assert(i == scanIndexOf(g, v, u), s"v=$v u=$u N(v)=${(0 until g.degree(v)).map(j => g.dst(g.offset(v) + j))}")
+        assert(g.hasEdge(v, u) == (i >= 0))
+      }
+    }
+  }
+
   test("hasEdge mirrors neighborIndexOf") {
     assert(g.hasEdge(0, 3))
     assert(!g.hasEdge(2, 3))

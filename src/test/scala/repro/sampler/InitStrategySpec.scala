@@ -6,7 +6,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.core.WalkState
-import repro.model.DeepWalk
+import repro.graph.CSRGraph
+import repro.model.{DeepWalk, Node2Vec}
 
 /** Initialization strategies (§III-C): the Fig. 1 simulation comparing
   * random vs high-weight initialization against Theorem 3's condition,
@@ -127,6 +128,50 @@ class InitStrategySpec extends AnyFunSuite {
         val e = smp.sample(s, new SplittableRandom(40 + i))
         assert(e >= 0 && g.nodeType(g.dst(e)) == 1, s"init=$init")
       }
+    }
+  }
+
+  /** High-weight init as a loop that draws each probe and weighs it in
+    * turn; the sampler draws all probes first and must match it.
+    */
+  private def interleavedHighWeight(g: CSRGraph, m: Node2Vec, k: Int, s: WalkState,
+                                    rng: SplittableRandom): Int = {
+    val lo = g.offset(s.cur); val d = g.degree(s.cur)
+    val exact = d <= k
+    var best = -1; var bestW = 0.0
+    var j = 0
+    while (j < math.min(d, k)) {
+      val e = lo + (if (exact) j else rng.nextInt(d))
+      val w = m.calculateWeight(g, s, e)
+      if (w > bestW) { bestW = w; best = e }
+      j += 1
+    }
+    best
+  }
+
+  test("high-weight init: drawing the probes first picks the same edge and leaves the same RNG") {
+    val g = TestGraphs.mediumGraph()
+    val m = new Node2Vec(0.25, 4.0)
+    val maxDeg = (0 until g.numNodes).map(g.degree).max
+    assert(maxDeg > 16, "the graph needs hub states with more neighbours than probes")
+    // Every second-order state: the prev-less one of each node, then one per in-edge.
+    val states = (0 until g.numNodes).flatMap { v =>
+      WalkState(-1, v, 0) +: (0 until g.degree(v)).map(j => WalkState(g.dst(g.offset(v) + j), v, 0))
+    }
+    for (k <- Seq(1, 16, maxDeg + 1)) {
+      val smp = new MHSamplerFactory(HighWeightInit(k)).create(g, m).asInstanceOf[MHSampler]
+      var probed = 0
+      for (s <- states; seed <- 0L until 4L) {
+        val rngA = new SplittableRandom(seed * 7919 + s.cur)
+        val rngB = new SplittableRandom(seed * 7919 + s.cur)
+        val want = interleavedHighWeight(g, m, k, s, rngB)
+        assert(want >= 0) // every node2vec weight here is > 0, so no fallback
+        assert(smp.initialEdge(s, rngA) == want, s"k=$k state=$s seed=$seed")
+        assert(rngA.nextLong() == rngB.nextLong(), s"RNG diverged: k=$k state=$s seed=$seed")
+        if (g.degree(s.cur) > k) probed += 1
+      }
+      if (k <= maxDeg) assert(probed > 0, s"k=$k: no state with d > k")
+      else assert(probed == 0)
     }
   }
 }
