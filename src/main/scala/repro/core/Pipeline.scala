@@ -46,10 +46,10 @@ final case class RunConfig(
 
 /** End-to-end NRL pipeline with the paper's phase accounting:
   *
-  *  - Ti: driver-side sampler preparation (alias builds, proposal tables,
-  *    budget assignment) plus the per-core share of *lazy* initialization
-  *    performed inside the walk job (M-H first-touch inits, lazy alias
-  *    builds) — the paper likewise separates initialization from walking;
+  *  - Ti: driver-side sampler preparation (budget assignment, alias
+  *    builds, proposal tables) plus the per-core share of M-H's *lazy*
+  *    first-touch chain inits performed inside the walk job — the paper
+  *    likewise separates initialization from walking;
   *  - Tw: wall time of the walk job minus that lazy-init share;
   *  - Tl: wall time of the word2vec fit on min(partitions, cores) threads.
   */

@@ -23,11 +23,10 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   val accepts: LongAccumulator = spark.sparkContext.longAccumulator("accepts")
   val initNanos: LongAccumulator = spark.sparkContext.longAccumulator("initNanos")
   val initCount: LongAccumulator = spark.sparkContext.longAccumulator("initCount")
-  /** Sampler bytes the job allocated outside the prepared factory:
-    * memory-aware's lazy alias tables, plus M-H's LAST_x array. Every task
-    * of an executor shares that one array, so a job reports one array per
-    * executor, and a later job on the same factory, graph and model
-    * reports nothing for it.
+  /** Sampler bytes the job allocated outside the prepared factory: M-H's
+    * LAST_x array. Every task of an executor shares that one array, so a
+    * job reports one array per executor, and a later job on the same
+    * factory, graph and model reports nothing for it.
     */
   val localBytes: LongAccumulator = spark.sparkContext.longAccumulator("localBytes")
 
@@ -52,13 +51,14 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   * The CSR network is broadcast once; walkers are a range RDD of
   * (startNode, walkIndex) pairs, split over `numPartitions` partitions.
   * Each partition instantiates one edge sampler from the (broadcast,
-  * already-prepared) factory. Lazy alias tables are partition-local. M-H's
-  * LAST_x is not: as in the paper's single sampler manager (§IV-C), every
-  * task of an executor walks the same per-state Markov chains, which its
-  * copy of the factory keeps for as long as it lives. Tasks that run at
-  * the same time update those chains without locks (Hogwild!, Recht et
-  * al. 2011): a lost update costs one chain step, and every emitted edge
-  * is still drawn from the state's neighbours by Alg. 1.
+  * already-prepared) factory, whose tables every task shares. M-H's
+  * LAST_x is shared too: as in the paper's single sampler manager
+  * (§IV-C), every task of an executor walks the same per-state Markov
+  * chains, which its copy of the factory keeps for as long as it lives.
+  * Tasks that run at the same time update those chains without locks
+  * (Hogwild!, Recht et al. 2011): a lost update costs one chain step, and
+  * every emitted edge is still drawn from the state's neighbours by
+  * Alg. 1.
   *
   * One consequence for M-H: a task's walks depend on the chain positions
   * that earlier and concurrent tasks left behind. A one-partition job on

@@ -10,12 +10,12 @@ import repro.graph.{CSRGraph, DatasetConfig}
   * UniNet.generateWalksPrepared).
   * `trials`/`accepts` give the measured acceptance ratio of
   * rejection-style samplers and M-H (Table II); `preAccepts` counts
-  * KnightKing's accepts that skipped the weight. `initNanos` separates
-  * lazy initialization work out of the walking phase (Ti vs Tw in
-  * Table VI). `localBytes` is the storage this sampler allocated outside
-  * the prepared factory: memory-aware's lazily built alias tables, or the
-  * M-H LAST_x array when this sampler was the first its factory created
-  * for the graph and model (the samplers that share it add nothing).
+  * KnightKing's accepts that skipped the weight. `initNanos` and
+  * `initCount` separate M-H's lazy chain inits out of the walking phase
+  * (Ti vs Tw in Table VI). `localBytes` is the storage this sampler
+  * allocated outside the prepared factory: the M-H LAST_x array when this
+  * sampler was the first its factory created for the graph and model (the
+  * samplers that share it add nothing).
   */
 final class LocalStats {
   var steps: Long = 0

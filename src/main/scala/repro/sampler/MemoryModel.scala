@@ -16,7 +16,7 @@ import repro.graph.DatasetConfig
   *   alias, second-order          : 12 |E|dir * dbar          (one table/edge)
   *   rejection / KnightKing       : 12 |E|dir + 8 |V|         (static proposal)
   *   M-H (LAST_x)                 : 4 * #state
-  *   memory-aware                 : min(budget, alias need)   (by construction)
+  *   memory-aware (budgeted alias): min(free, alias need)     (by construction)
   *   direct                       : 0
   *
   * |E|dir is `DatasetConfig.paperEdges`, the directed adjacency count

@@ -32,6 +32,28 @@ class PipelineSpec extends SparkSpec {
     assert(r.samplerSharedBytes > 0)
   }
 
+  test("a memory-aware budget bounds the job's sampler bytes at every partition count") {
+    // The walk-corpus golden graph, on which node2vec's alias tables need
+    // more than the budget.
+    val gg = TestGraphs.mediumGraph(600, 4, 11, numTypes = 3)
+    val bcGG = spark.sparkContext.broadcast(gg)
+    val m = new Node2Vec(0.25, 4.0)
+    val budget = 200_000L
+    val all = new AliasSamplerFactory
+    all.prepare(gg, m, parallel = false)
+    assert(all.memoryBytes(gg, m) > budget)
+    val bytes = for (parts <- Seq(1, 4, 16)) yield {
+      val r = Pipeline.run(spark, bcGG, m, new AliasSamplerFactory(budget),
+                           RunConfig(numWalks = 3, walkLen = 20, partitions = parts))
+      val b = r.samplerSharedBytes + r.samplerLocalBytes
+      assert(b > 0L && b <= budget, s"$parts partitions: $b bytes")
+      b
+    }
+    bcGG.destroy()
+    info(s"sampler bytes at 1, 4 and 16 partitions: ${bytes.mkString(", ")}")
+    assert(bytes.distinct.size == 1, bytes)
+  }
+
   test("M-H lazy initialization is separated out of Tw") {
     val m = new Node2Vec(0.5, 2.0)
     val r = Pipeline.run(spark, bcG, m, new MHSamplerFactory(HighWeightInit()),

@@ -48,8 +48,7 @@ class WalkCorpusGoldenSpec extends SparkSpec {
     "direct" -> (() => DirectSamplerFactory),
     "knightking" -> (() => new KnightKingSamplerFactory()),
     "rejection" -> (() => new KnightKingSamplerFactory(optimized = false)),
-    "memory-aware(200kB)" -> (() => new MemoryAwareSamplerFactory(200_000L)),
-    "memory-aware(unbounded)" -> (() => new MemoryAwareSamplerFactory(Long.MaxValue)),
+    "memory-aware(200kB)" -> (() => new AliasSamplerFactory(200_000L)),
     "mh(Rand)" -> (() => new MHSamplerFactory(RandomInit)),
     "mh(Weight)" -> (() => new MHSamplerFactory(HighWeightInit())),
     "mh(Burn20)" -> (() => new MHSamplerFactory(BurnInInit(20))),
@@ -81,15 +80,6 @@ class WalkCorpusGoldenSpec extends SparkSpec {
       if (changed.nonEmpty) fail(changed.mkString("new rows:\n", "\n", ""))
     }
   }
-
-  // Both build the same table for every state and draw the same numbers
-  // from it; only when the tables are built differs.
-  test("precompute alias and unbounded memory-aware draw the same corpus for every model") {
-    for ((mName, _) <- models) {
-      val lazyRow = results((mName, "memory-aware(unbounded)"))
-      assert(results((mName, "alias")) == lazyRow.copy(initCount = 0), mName)
-    }
-  }
 }
 
 object WalkCorpusGoldenSpec {
@@ -103,8 +93,7 @@ object WalkCorpusGoldenSpec {
     ("deepwalk", "direct") -> Row(0x9f146131, 36000, 437788, 0, 0),
     ("deepwalk", "knightking") -> Row(0x9f621288, 36000, 36000, 36000, 0),
     ("deepwalk", "rejection") -> Row(0x9f621288, 36000, 36000, 36000, 0),
-    ("deepwalk", "memory-aware(200kB)") -> Row(0x511288b2, 36000, 36000, 0, 2400),
-    ("deepwalk", "memory-aware(unbounded)") -> Row(0x511288b2, 36000, 36000, 0, 2400),
+    ("deepwalk", "memory-aware(200kB)") -> Row(0x511288b2, 36000, 36000, 0, 0),
     ("deepwalk", "mh(Rand)") -> Row(0x911c53c0, 36000, 36000, 30423, 600),
     ("deepwalk", "mh(Weight)") -> Row(0x6af72cf8, 36000, 36000, 30229, 600),
     ("deepwalk", "mh(Burn20)") -> Row(0xc744c06d, 36000, 36000, 30567, 600),
@@ -112,8 +101,7 @@ object WalkCorpusGoldenSpec {
     ("node2vec(0.25,4)", "direct") -> Row(0x6f892e29, 36000, 431729, 0, 0),
     ("node2vec(0.25,4)", "knightking") -> Row(0x63c10eb7, 36000, 77127, 36000, 0),
     ("node2vec(0.25,4)", "rejection") -> Row(0x2a9f3c7f, 36000, 223898, 36000, 0),
-    ("node2vec(0.25,4)", "memory-aware(200kB)") -> Row(0xe792bc87, 36000, 340324, 0, 1634),
-    ("node2vec(0.25,4)", "memory-aware(unbounded)") -> Row(0x5d3af318, 36000, 36000, 0, 15594),
+    ("node2vec(0.25,4)", "memory-aware(200kB)") -> Row(0xe792bc87, 36000, 340324, 0, 0),
     ("node2vec(0.25,4)", "mh(Rand)") -> Row(0xc13d58bb, 36000, 36000, 20521, 6192),
     ("node2vec(0.25,4)", "mh(Weight)") -> Row(0xc6be0cde, 36000, 36000, 8812, 5141),
     ("node2vec(0.25,4)", "mh(Burn20)") -> Row(0x84924a16, 36000, 36000, 12925, 5757),
@@ -121,8 +109,7 @@ object WalkCorpusGoldenSpec {
     ("node2vec(2,0.5)", "direct") -> Row(0x271835cb, 36000, 437189, 0, 0),
     ("node2vec(2,0.5)", "knightking") -> Row(0x815d6d61, 36000, 41481, 36000, 0),
     ("node2vec(2,0.5)", "rejection") -> Row(0x815d6d61, 36000, 41481, 36000, 0),
-    ("node2vec(2,0.5)", "memory-aware(200kB)") -> Row(0xaa83a6a6, 36000, 348083, 0, 1903),
-    ("node2vec(2,0.5)", "memory-aware(unbounded)") -> Row(0xe81eca62, 36000, 36000, 0, 19471),
+    ("node2vec(2,0.5)", "memory-aware(200kB)") -> Row(0xaa83a6a6, 36000, 348083, 0, 0),
     ("node2vec(2,0.5)", "mh(Rand)") -> Row(0x9f38f571, 36000, 36000, 28952, 6442),
     ("node2vec(2,0.5)", "mh(Weight)") -> Row(0x0e5a25f2, 36000, 36000, 27304, 6377),
     ("node2vec(2,0.5)", "mh(Burn20)") -> Row(0x136144ad, 36000, 36000, 28627, 6428),
@@ -130,8 +117,7 @@ object WalkCorpusGoldenSpec {
     ("edge2vec(0.25,0.25)", "direct") -> Row(0x1a94caae, 36000, 433348, 0, 0),
     ("edge2vec(0.25,0.25)", "knightking") -> Row(0x3dbc7d6c, 36000, 64342, 36000, 0),
     ("edge2vec(0.25,0.25)", "rejection") -> Row(0x3dbc7d6c, 36000, 64342, 36000, 0),
-    ("edge2vec(0.25,0.25)", "memory-aware(200kB)") -> Row(0x074d988d, 36000, 347298, 0, 1798),
-    ("edge2vec(0.25,0.25)", "memory-aware(unbounded)") -> Row(0x4103613c, 36000, 36000, 0, 18884),
+    ("edge2vec(0.25,0.25)", "memory-aware(200kB)") -> Row(0x074d988d, 36000, 347298, 0, 0),
     ("edge2vec(0.25,0.25)", "mh(Rand)") -> Row(0xdce477b1, 36000, 36000, 27836, 6374),
     ("edge2vec(0.25,0.25)", "mh(Weight)") -> Row(0x9430089c, 36000, 36000, 25062, 6235),
     ("edge2vec(0.25,0.25)", "mh(Burn20)") -> Row(0x4d1e5067, 36000, 36000, 26877, 6358),
@@ -139,8 +125,7 @@ object WalkCorpusGoldenSpec {
     ("fairwalk(0.5,2)", "direct") -> Row(0x970fe758, 36000, 431818, 0, 0),
     ("fairwalk(0.5,2)", "knightking") -> Row(0xf80f38f6, 36000, 456824, 35992, 0),
     ("fairwalk(0.5,2)", "rejection") -> Row(0xf80f38f6, 36000, 456824, 35992, 0),
-    ("fairwalk(0.5,2)", "memory-aware(200kB)") -> Row(0xd071bf8e, 36000, 346386, 0, 1717),
-    ("fairwalk(0.5,2)", "memory-aware(unbounded)") -> Row(0x0589863c, 36000, 36000, 0, 17558),
+    ("fairwalk(0.5,2)", "memory-aware(200kB)") -> Row(0xd071bf8e, 36000, 346386, 0, 0),
     ("fairwalk(0.5,2)", "mh(Rand)") -> Row(0x27f3a50a, 36000, 36000, 24607, 6317),
     ("fairwalk(0.5,2)", "mh(Weight)") -> Row(0xbc481cec, 36000, 36000, 17940, 5914),
     ("fairwalk(0.5,2)", "mh(Burn20)") -> Row(0xb5f65f2e, 36000, 36000, 22360, 6186),
@@ -148,8 +133,7 @@ object WalkCorpusGoldenSpec {
     ("metapath2vec(0-0-1)", "direct") -> Row(0x88d69b95, 19149, 241723, 0, 0),
     ("metapath2vec(0-0-1)", "knightking") -> Row(0xae7b2393, 19354, 167373, 18289, 0),
     ("metapath2vec(0-0-1)", "rejection") -> Row(0xa2561072, 19185, 168364, 18117, 0),
-    ("metapath2vec(0-0-1)", "memory-aware(200kB)") -> Row(0x7e0b9ac6, 19435, 23503, 0, 2509),
-    ("metapath2vec(0-0-1)", "memory-aware(unbounded)") -> Row(0xc58fba4c, 19147, 19147, 0, 2862),
+    ("metapath2vec(0-0-1)", "memory-aware(200kB)") -> Row(0x7e0b9ac6, 19435, 23503, 0, 0),
     ("metapath2vec(0-0-1)", "mh(Rand)") -> Row(0xe3fa3b93, 19303, 18219, 5634, 775),
     ("metapath2vec(0-0-1)", "mh(Weight)") -> Row(0x524cd2c0, 19480, 18427, 5717, 771),
     ("metapath2vec(0-0-1)", "mh(Burn20)") -> Row(0x3af83812, 19555, 18521, 5648, 771),
@@ -157,8 +141,7 @@ object WalkCorpusGoldenSpec {
     ("metapath2vec(0-1-2)", "direct") -> Row(0x83d0226a, 36000, 415376, 0, 0),
     ("metapath2vec(0-1-2)", "knightking") -> Row(0x60fa6503, 36000, 121785, 35999, 0),
     ("metapath2vec(0-1-2)", "rejection") -> Row(0x430c2408, 36000, 122303, 35998, 0),
-    ("metapath2vec(0-1-2)", "memory-aware(200kB)") -> Row(0x0b203b0d, 36000, 46306, 0, 2078),
-    ("metapath2vec(0-1-2)", "memory-aware(unbounded)") -> Row(0xef91fa2a, 36000, 36000, 0, 2393),
+    ("metapath2vec(0-1-2)", "memory-aware(200kB)") -> Row(0x0b203b0d, 36000, 46306, 0, 0),
     ("metapath2vec(0-1-2)", "mh(Rand)") -> Row(0x2c6ae221, 36000, 36000, 11181, 600),
     ("metapath2vec(0-1-2)", "mh(Weight)") -> Row(0x7b12b797, 36000, 36000, 11092, 600),
     ("metapath2vec(0-1-2)", "mh(Burn20)") -> Row(0x34383573, 36000, 36000, 11054, 600),

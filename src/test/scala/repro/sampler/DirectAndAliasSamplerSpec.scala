@@ -9,7 +9,8 @@ import repro.core.WalkState
 import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
 
 /** Distribution correctness of the direct and alias edge samplers against
-  * the models' normalized targets.
+  * the models' normalized targets, and the alias sampler's byte budget:
+  * greedy high-degree-first assignment, and the budget bounding memory.
   */
 class DirectAndAliasSamplerSpec extends AnyFunSuite {
   private val g = TestGraphs.trianglePendant
@@ -93,24 +94,93 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     (0 until 5).foreach(_ => assert(sampler.sample(s, rng) == -1))
   }
 
-  test("lazy caches build a state with no permitted edge once") {
-    // Path 0-1-2 typed 0,1,0: node 0 has no type-0 neighbor, so the
-    // metapath 0-0 dead-ends there.
+  test("an assigned state with no permitted edge returns -1 and costs no bytes") {
+    // Path 0-1-2 typed 0,1,0: nodes 0 and 2 have no type-0 neighbor, so
+    // the metapath 0-0 dead-ends there; only node 1's position-1 state
+    // (both neighbors of type 0) admits an edge.
     val t = TestGraphs.fromTriples(
       3, Seq((0, 1, 1.0), (1, 2, 1.0)), Array[Byte](0, 1, 0), 2)
     val m = new MetaPath2Vec(Array(0, 0))
     val s = m.initialState(t, 0)
-    val f = new MemoryAwareSamplerFactory(Long.MaxValue)
+    val f = new AliasSamplerFactory
     f.prepare(t, m, parallel = false)
     val sampler = f.create(t, m)
     val rng = new SplittableRandom(5)
     (0 until 10).foreach(_ => assert(sampler.sample(s, rng) == -1))
-    assert(sampler.stats.initCount == 1)
-    assert(sampler.stats.localBytes == 0L)
+    assert(f.memoryBytes(t, m) == AliasMethod.tableBytes(t.degree(1)))
   }
 
   test("create before prepare fails fast") {
     val f = new AliasSamplerFactory
     assertThrows[IllegalArgumentException](f.create(g, new DeepWalk))
+  }
+
+  // Under a byte budget the alias sampler is the memory-aware sampler
+  // (SIGMOD'20): alias tables for the nodes the budget covers, highest
+  // degree first, and direct draws everywhere else.
+  private lazy val mg = TestGraphs.mediumGraph()
+  private val mm = new Node2Vec(0.5, 2.0)
+
+  private def budgeted(budget: Long): (AliasSamplerFactory, EdgeSampler) = {
+    val f = new AliasSamplerFactory(budget)
+    f.prepare(mg, mm, parallel = false)
+    (f, f.create(mg, mm))
+  }
+
+  test("zero budget: every state samples directly (O(deg) trials)") {
+    val (f, smp) = budgeted(0L)
+    assert(f.memoryBytes(mg, mm) == 0L)
+    val s = WalkState(mg.dst(mg.offset(0)), 0, 0)
+    val emp = TestGraphs.empiricalDistribution(mg, smp, s, 100_000)
+    assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(mg, mm, s)) < 0.03)
+    assert(smp.stats.trials == 100_000L * mg.degree(0))
+    assert(smp.stats.initCount == 0)
+  }
+
+  test("unbounded budget: every state is aliased (O(1) trials)") {
+    val (f, smp) = budgeted(Long.MaxValue)
+    assert(f.memoryBytes(mg, mm) > 0L) // every table is built, and counted, in prepare
+    val s = WalkState(mg.dst(mg.offset(0)), 0, 0)
+    val emp = TestGraphs.empiricalDistribution(mg, smp, s, 100_000)
+    assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(mg, mm, s)) < 0.03)
+    assert(smp.stats.trials == 100_000L)
+    assert(smp.stats.initCount == 0)
+    assert(smp.stats.localBytes == 0L)
+  }
+
+  test("assignment is greedy by degree: partial budgets alias the hubs first") {
+    val hub = (0 until mg.numNodes).maxBy(mg.degree)
+    val leaf = (0 until mg.numNodes).minBy(mg.degree)
+    val hubCost = AliasMethod.tableBytes(mg.degree(hub)) * mm.bucketSize(mg, hub)
+    val (f, smp) = budgeted(hubCost)
+    assert(f.memoryBytes(mg, mm) <= hubCost)
+    // The hub must be aliased; the cheapest node must not be.
+    val sHub = WalkState(mg.dst(mg.offset(hub)), hub, 0)
+    val sLeaf = WalkState(mg.dst(mg.offset(leaf)), leaf, 0)
+    val rng = new SplittableRandom(3)
+    smp.sample(sHub, rng)
+    assert(smp.stats.trials == 1L, "hub state should draw from its alias table")
+    smp.sample(sLeaf, rng)
+    assert(smp.stats.trials - 1L == mg.degree(leaf), "leaf state should sample directly")
+  }
+
+  test("built bytes stay within the budget") {
+    val budget = 8_000L
+    val (f, smp) = budgeted(budget)
+    assert(f.memoryBytes(mg, mm) <= budget)
+    val rng = new SplittableRandom(4)
+    // Touch many states: drawing allocates nothing.
+    for (v <- 0 until mg.numNodes; if mg.degree(v) > 0) {
+      smp.sample(WalkState(mg.dst(mg.offset(v)), v, 0), rng)
+    }
+    assert(smp.stats.localBytes == 0L)
+  }
+
+  test("distribution correctness on a budget boundary mix") {
+    val (_, smp) = budgeted(20_000L)
+    val hub = (0 until mg.numNodes).maxBy(mg.degree)
+    val s = WalkState(mg.dst(mg.offset(hub)), hub, 0)
+    val emp = TestGraphs.empiricalDistribution(mg, smp, s, 150_000)
+    assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(mg, mm, s)) < 0.03)
   }
 }

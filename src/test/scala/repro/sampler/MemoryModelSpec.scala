@@ -14,7 +14,7 @@ class MemoryModelSpec extends AnyFunSuite {
   private val flickr = GraphGen.datasets("Flickr")
   private val aliasPre = new AliasSamplerFactory
   private val mh = new MHSamplerFactory(HighWeightInit())
-  private val memoryAware = new MemoryAwareSamplerFactory(80L << 20)
+  private val memoryAware = new AliasSamplerFactory(80L << 20)
 
   test("Table VII: second-order alias OOMs on both billion-edge networks") {
     assert(MemoryModel.ooms(twitter, aliasPre, secondOrder = true))
