@@ -10,7 +10,6 @@ private object JobSession {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", "64")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 }

@@ -21,11 +21,11 @@ object TableV {
   final case class Row(stats: DatasetStats, paperNodes: Long, paperEdges: Long,
                        paperMeanDegree: Double)
 
-  /** The Table V statistics of one dataset: |E| counts the generator's
-    * undirected edge frame, and the mean degree is 2|E|/|V|.
+  /** The Table V statistics of one dataset: |E| counts the undirected
+    * edges of the CSR the walks read, and the mean degree is 2|E|/|V|.
     */
   def forConfig(spark: SparkSession, cfg: DatasetConfig): DatasetStats = {
-    val e = GraphGen.edgesDF(spark, cfg).count()
+    val e = GraphGen.buildCSR(spark, cfg).numUndirectedEdges
     DatasetStats(cfg.name, cfg.numNodes, e, 2.0 * e / cfg.numNodes, cfg.numTypes)
   }
 

@@ -112,9 +112,9 @@ final class CSRGraph(
 
 object CSRGraph {
 
-  /** Build a CSR graph from a *directed* edge array (call sites symmetrize
-    * first for undirected networks). Neighbor slices are sorted by
-    * destination id; parallel duplicate edges are kept as-is (multigraph).
+  /** Build a CSR graph from a *directed* edge array. Neighbor slices are
+    * sorted by destination id; parallel duplicate edges are kept as-is
+    * (multigraph).
     */
   def fromEdges(
       numNodes: Int,
@@ -123,39 +123,14 @@ object CSRGraph {
       ws: Array[Float],
       nodeTypes: Array[Byte] = null,
       numTypes: Int = 1,
-  ): CSRGraph = {
-    require(srcs.length == dsts.length && dsts.length == ws.length, "edge arrays misaligned")
-    val m = srcs.length
-    val offsets = new Array[Int](numNodes + 1)
-    var i = 0
-    while (i < m) { offsets(srcs(i) + 1) += 1; i += 1 }
-    i = 0
-    while (i < numNodes) { offsets(i + 1) += offsets(i); i += 1 }
-    val cursor = java.util.Arrays.copyOf(offsets, numNodes)
-    // Pack (dst, weightBits) into a long so each slice sorts without boxing.
-    val packed = new Array[Long](m)
-    i = 0
-    while (i < m) {
-      val pos = cursor(srcs(i)); cursor(srcs(i)) = pos + 1
-      packed(pos) = (dsts(i).toLong << 32) | (java.lang.Float.floatToRawIntBits(ws(i)).toLong & 0xffffffffL)
-      i += 1
-    }
-    var v = 0
-    while (v < numNodes) { Arrays.sort(packed, offsets(v), offsets(v + 1)); v += 1 }
-    val neighbors = new Array[Int](m)
-    val weights = new Array[Float](m)
-    i = 0
-    while (i < m) {
-      neighbors(i) = (packed(i) >>> 32).toInt
-      weights(i) = java.lang.Float.intBitsToFloat((packed(i) & 0xffffffffL).toInt)
-      i += 1
-    }
-    new CSRGraph(numNodes, offsets, neighbors, weights, nodeTypes, numTypes)
-  }
+  ): CSRGraph = build(numNodes, srcs, dsts, ws, nodeTypes, numTypes, merge = false)
 
-  /** Symmetrize an undirected edge list (src < dst) into directed adjacency
-    * and build the CSR. Each undirected edge contributes both directions
-    * with the same weight.
+  /** Symmetrize an undirected edge list into directed adjacency and build
+    * the CSR: each pair contributes both directions with the same weight.
+    * This is where graph input is deduplicated: a pair listed more than
+    * once, in either orientation, becomes one edge in each of its two
+    * slices, and both keep the first weight of the sorted copies, which for
+    * non-negative weights is the lowest. A self-loop (u, u) keeps one entry.
     */
   def fromUndirectedEdges(
       numNodes: Int,
@@ -173,6 +148,62 @@ object CSRGraph {
       s(m + i) = vs(i); d(m + i) = us(i); w(m + i) = ws(i)
       i += 1
     }
-    fromEdges(numNodes, s, d, w, nodeTypes, numTypes)
+    build(numNodes, s, d, w, nodeTypes, numTypes, merge = true)
+  }
+
+  /** Counting-sort the directed edges into slices, sort each slice by
+    * (dst, weight bits), then unpack; with `merge`, an entry whose dst
+    * repeats the one before it in its slice is dropped and the offsets
+    * close up behind it.
+    */
+  private def build(
+      numNodes: Int,
+      srcs: Array[Int],
+      dsts: Array[Int],
+      ws: Array[Float],
+      nodeTypes: Array[Byte],
+      numTypes: Int,
+      merge: Boolean,
+  ): CSRGraph = {
+    require(srcs.length == dsts.length && dsts.length == ws.length, "edge arrays misaligned")
+    val m = srcs.length
+    val offsets = new Array[Int](numNodes + 1)
+    var i = 0
+    while (i < m) { offsets(srcs(i) + 1) += 1; i += 1 }
+    i = 0
+    while (i < numNodes) { offsets(i + 1) += offsets(i); i += 1 }
+    val cursor = java.util.Arrays.copyOf(offsets, numNodes)
+    // Pack (dst, weightBits) into a long so each slice sorts without boxing.
+    val packed = new Array[Long](m)
+    i = 0
+    while (i < m) {
+      val pos = cursor(srcs(i)); cursor(srcs(i)) = pos + 1
+      packed(pos) = (dsts(i).toLong << 32) | (java.lang.Float.floatToRawIntBits(ws(i)).toLong & 0xffffffffL)
+      i += 1
+    }
+    val neighbors = new Array[Int](m)
+    val weights = new Array[Float](m)
+    var out = 0
+    i = 0
+    var v = 0
+    while (v < numNodes) {
+      val end = offsets(v + 1)
+      Arrays.sort(packed, i, end)
+      val first = out
+      while (i < end) {
+        val u = (packed(i) >>> 32).toInt
+        if (!merge || out == first || neighbors(out - 1) != u) {
+          neighbors(out) = u
+          weights(out) = java.lang.Float.intBitsToFloat(packed(i).toInt)
+          out += 1
+        }
+        i += 1
+      }
+      offsets(v + 1) = out
+      v += 1
+    }
+    if (out == m) new CSRGraph(numNodes, offsets, neighbors, weights, nodeTypes, numTypes)
+    else new CSRGraph(numNodes, offsets, Arrays.copyOf(neighbors, out), Arrays.copyOf(weights, out),
+                      nodeTypes, numTypes)
   }
 }

@@ -56,16 +56,22 @@ object GraphGen {
   }
 
   /** Undirected power-law edge list (src < dst, weight) for `cfg` as a
-    * DataFrame: skewed endpoint pairs with self-loops dropped, normalized
-    * to src < dst and deduplicated. The weight is a symmetric hash of the
+    * DataFrame: skewed endpoint pairs with self-loops dropped and
+    * normalized to src < dst. The weight is a symmetric hash of the
     * endpoints in [0.5, 1.5), so both directions of an edge agree.
-    * Deterministic in the config; `buildCSR` collects it, and
-    * `GraphStatsSpec` checks the CSR's degrees against DuckDB queries
-    * over it.
+    * Deterministic in the config.
+    *
+    * A hot pair can be drawn more than once, and the frame keeps every
+    * copy: deduplicating here would cost a shuffle, while the rows are
+    * generated and collected by 4 tasks with no exchange. The copies of a
+    * pair carry the same weight, and `CSRGraph.fromUndirectedEdges`, which
+    * `buildCSR` calls, merges them into one edge. Callers that count or
+    * query the frame's edges directly take its distinct rows.
     */
   def edgesDF(spark: SparkSession, cfg: DatasetConfig): DataFrame = {
-    // Oversample: self-loop filtering + dedup of hot zipf pairs lose a few
-    // percent of rows (measured ~3-4% at these scales).
+    // Oversample: dropped self-loops and the repeats of hot pairs that the
+    // CSR merges cost a few percent of the edges (measured ~3-4% at these
+    // scales).
     val rows = (cfg.targetUndirectedEdges * 1.05).toLong
     // rand(seed) seeds each partition with seed + its index, so a fixed 4
     // partitions (local[*] on the 4-core host that recorded the pinned edge
@@ -75,7 +81,6 @@ object GraphGen {
       .where(col("src") =!= col("dst"))
       .select(least(col("src"), col("dst")) as "src",
               greatest(col("src"), col("dst")) as "dst")
-      .distinct()
       .select(col("src"), col("dst"),
               (lit(0.5) + pmod(hash(col("src"), col("dst")), lit(1000)).cast(DoubleType) / 1000.0) as "weight")
   }
@@ -96,7 +101,9 @@ object GraphGen {
             (pow(lit(1.0) + rand(seed) * span, lit(1.0 / (1.0 - alpha))) - 1.0).cast(LongType)))
   }
 
-  /** Build the broadcastable CSR for `cfg` (collects the edge frame). */
+  /** Build the broadcastable CSR for `cfg`: collects the edge frame, whose
+    * repeated rows `CSRGraph.fromUndirectedEdges` merges.
+    */
   def buildCSR(spark: SparkSession, cfg: DatasetConfig): CSRGraph = {
     val rows = edgesDF(spark, cfg).collect()
     val m = rows.length

@@ -147,10 +147,37 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
-  test("multigraph: duplicate edges are preserved") {
-    val m = CSRGraph.fromUndirectedEdges(2, Array(0, 0), Array(1, 1), Array(1.0f, 2.0f))
-    assert(m.degree(0) == 2)
-    assert(m.degree(1) == 2)
+  test("repeated undirected pairs merge into one edge per slice, keeping the lowest weight") {
+    // (0,1) three times, once reversed; (1,2) twice; (0,2) once.
+    val m = CSRGraph.fromUndirectedEdges(3, Array(0, 1, 0, 1, 2, 0), Array(1, 0, 1, 2, 1, 2),
+                                         Array(2.0f, 0.5f, 1.5f, 3.0f, 0.75f, 4.0f))
+    assert(m.offsets.toSeq == Seq(0, 2, 4, 6))
+    assert(m.neighbors.toSeq == Seq(1, 2, 0, 2, 0, 1))
+    assert(m.weights.toSeq == Seq(0.5f, 4.0f, 0.5f, 0.75f, 4.0f, 0.75f))
+    assert(m.numUndirectedEdges == 3)
+  }
+
+  test("property: repeated pairs build the same CSR as their distinct pairs") {
+    val gen = for {
+      n <- Gen.choose(2, 20)
+      m <- Gen.choose(0, 80)
+      es <- Gen.listOfN(m, for {
+        u <- Gen.choose(0, n - 1); v <- Gen.choose(0, n - 1) if u != v
+        w <- Gen.choose(1, 9)
+      } yield (u, v, w.toFloat))
+    } yield (n, es)
+    forAllSamples(gen, n = 200) { case (n, es) =>
+      def build(t: Seq[(Int, Int, Float)]) =
+        CSRGraph.fromUndirectedEdges(n, t.map(_._1).toArray, t.map(_._2).toArray, t.map(_._3).toArray)
+      // One row per unordered pair, with the lowest weight among its copies.
+      val distinct = es.groupBy(t => (math.min(t._1, t._2), math.max(t._1, t._2))).toSeq
+        .map { case ((u, v), copies) => (u, v, copies.map(_._3).min) }
+      val (a, b) = (build(es), build(distinct))
+      assert(a.offsets.toSeq == b.offsets.toSeq)
+      assert(a.neighbors.toSeq == b.neighbors.toSeq)
+      assert(a.weights.toSeq == b.weights.toSeq)
+      assert(a.numUndirectedEdges == distinct.size)
+    }
   }
 
   test("property: CSR preserves every input edge (random edge lists)") {

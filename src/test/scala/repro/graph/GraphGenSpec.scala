@@ -23,12 +23,18 @@ class GraphGenSpec extends SparkSpec {
 
   private val cfg = GraphGen.datasets("ACM")
 
-  /** Row count and SHA-256 prefix of the edge frame's rows sorted by
-    * (src, dst), each row hashed as src, dst and the weight's bits.
+  /** The edge frame's distinct rows as (src, dst, weight), sorted by
+    * (src, dst). The frame itself may repeat a pair.
+    */
+  private def distinctRows(name: String): Array[(Long, Long, Double)] =
+    GraphGen.edgesDF(spark, GraphGen.datasets(name)).collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).distinct.sortBy(r => (r._1, r._2))
+
+  /** Row count and SHA-256 prefix of the edge frame's distinct rows sorted
+    * by (src, dst), each row hashed as src, dst and the weight's bits.
     */
   private def edgesDigest(name: String): (Int, String) = {
-    val rows = GraphGen.edgesDF(spark, GraphGen.datasets(name)).collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).sortBy(r => (r._1, r._2))
+    val rows = distinctRows(name)
     val md = java.security.MessageDigest.getInstance("SHA-256")
     val buf = java.nio.ByteBuffer.allocate(24)
     rows.foreach { case (s, d, w) =>
@@ -43,6 +49,18 @@ class GraphGenSpec extends SparkSpec {
     assert(edgesDigest("BlogCatalog") == (98834, "dd9ef8d94d168405"))
   }
 
+  test("buildCSR's undirected edges are the frame's distinct rows: ACM and BlogCatalog") {
+    for (name <- Seq("ACM", "BlogCatalog")) {
+      val g = GraphGen.buildCSR(spark, GraphGen.datasets(name))
+      val csrEdges = for {
+        v <- 0 until g.numNodes; e <- g.offset(v) until g.offset(v + 1) if v < g.dst(e)
+      } yield (v.toLong, g.dst(e).toLong, g.weight(e))
+      val rows = distinctRows(name).map { case (s, d, w) => (s, d, w.toFloat) }
+      assert(csrEdges.size == rows.length, name)
+      assert(csrEdges.toSet == rows.toSet, name)
+    }
+  }
+
   test("edgesDF is deterministic in the config") {
     val a = GraphGen.edgesDF(spark, cfg).collect().map(_.toSeq).toSet
     val b = GraphGen.edgesDF(spark, cfg).collect().map(_.toSeq).toSet
@@ -51,12 +69,16 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("edge endpoints are valid, distinct, and normalized src < dst") {
-    val rows = GraphGen.edgesDF(spark, cfg).collect()
-    rows.foreach { r =>
+    GraphGen.edgesDF(spark, cfg).collect().foreach { r =>
       val (s, d) = (r.getLong(0), r.getLong(1))
       assert(s >= 0 && d < cfg.numNodes && s < d)
     }
-    assert(rows.map(r => (r.getLong(0), r.getLong(1))).distinct.length == rows.length)
+    // The frame may repeat a pair; the CSR built from it holds each once.
+    val g = GraphGen.buildCSR(spark, cfg)
+    for (v <- 0 until g.numNodes) {
+      val slice = (g.offset(v) until g.offset(v + 1)).map(g.dst)
+      assert(slice.distinct.length == slice.length, s"node $v repeats a neighbour")
+    }
   }
 
   test("edge weights are in [0.5, 1.5)") {
@@ -76,7 +98,7 @@ class GraphGenSpec extends SparkSpec {
     val df = GraphGen.edgesDF(spark, cfg)
     val g = GraphGen.buildCSR(spark, cfg)
     assert(g.numNodes == cfg.numNodes)
-    assert(g.numUndirectedEdges == df.count())
+    assert(g.numUndirectedEdges == df.distinct().count())
     // Spot-check a few edges exist in both directions.
     df.limit(20).collect().foreach { r =>
       assert(g.hasEdge(r.getLong(0).toInt, r.getLong(1).toInt))

@@ -4,7 +4,9 @@ import repro.{Oracle, SparkSpec}
 import repro.exp.TableV
 
 /** The CSR the walks read, cross-checked against DuckDB queries over the
-  * generator's edge frame (Table V's measurement path).
+  * generator's edge frame (Table V's measurement path). The frame may
+  * repeat a pair, so every query reads its distinct rows (`Edges`), which
+  * keeps the oracle's deduplication independent of the CSR's.
   */
 class GraphStatsSpec extends SparkSpec {
   import spark.implicits._
@@ -13,6 +15,8 @@ class GraphStatsSpec extends SparkSpec {
   private lazy val edges = GraphGen.edgesDF(spark, cfg).cache()
   private lazy val g = GraphGen.buildCSR(spark, cfg)
 
+  private val Edges = "(SELECT DISTINCT src, dst, weight FROM edges)"
+
   /** The CSR's nodes with at least one edge: DuckDB's GROUP BY over the
     * edge frame has a row for exactly these.
     */
@@ -20,21 +24,21 @@ class GraphStatsSpec extends SparkSpec {
 
   test("edge count matches DuckDB") {
     Oracle.assertEquivalent(Seq(g.numUndirectedEdges).toDF("n"),
-      "SELECT count(*) AS n FROM edges", "edges" -> edges)
+      s"SELECT count(*) AS n FROM $Edges", "edges" -> edges)
   }
 
   test("directed view doubles the edge count (oracle)") {
     Oracle.assertEquivalent(Seq(g.numDirectedEdges.toLong).toDF("n"),
-      "SELECT count(*) AS n FROM (SELECT src, dst FROM edges UNION ALL SELECT dst, src FROM edges)",
+      s"SELECT count(*) AS n FROM (SELECT src, dst FROM $Edges UNION ALL SELECT dst, src FROM $Edges)",
       "edges" -> edges)
   }
 
   test("per-node degrees match DuckDB") {
     val df = linkedNodes.map(v => (v.toLong, g.degree(v).toLong)).toDF("node", "degree")
     Oracle.assertEquivalent(df,
-      """SELECT node, count(*) AS degree FROM (
-        |  SELECT src AS node FROM edges UNION ALL SELECT dst AS node FROM edges
-        |) GROUP BY node""".stripMargin,
+      s"""SELECT node, count(*) AS degree FROM (
+         |  SELECT src AS node FROM $Edges UNION ALL SELECT dst AS node FROM $Edges
+         |) GROUP BY node""".stripMargin,
       "edges" -> edges)
   }
 
@@ -52,6 +56,8 @@ class GraphStatsSpec extends SparkSpec {
     val s = TableV.forConfig(spark, cfg)
     assert(s.numEdges == g.numUndirectedEdges)
     assert(math.abs(s.meanDegree - g.meanDegree) < 1e-9)
+    Oracle.assertEquivalent(Seq(s.meanDegree).toDF("deg"),
+      s"SELECT 2.0 * count(*) / ${cfg.numNodes} AS deg FROM $Edges", "edges" -> edges)
   }
 
   test("weighted degree (strength) matches DuckDB") {
@@ -62,10 +68,10 @@ class GraphStatsSpec extends SparkSpec {
       (v.toLong, math.round(s * 1000) / 1000.0)
     }.toDF("node", "strength")
     Oracle.assertEquivalent(df,
-      """SELECT node, round(sum(weight), 3) AS strength FROM (
-        |  SELECT src AS node, CAST(weight AS DOUBLE) AS weight FROM edges
-        |  UNION ALL SELECT dst AS node, CAST(weight AS DOUBLE) AS weight FROM edges
-        |) GROUP BY node""".stripMargin,
+      s"""SELECT node, round(sum(weight), 3) AS strength FROM (
+         |  SELECT src AS node, CAST(weight AS DOUBLE) AS weight FROM $Edges
+         |  UNION ALL SELECT dst AS node, CAST(weight AS DOUBLE) AS weight FROM $Edges
+         |) GROUP BY node""".stripMargin,
       "edges" -> edges)
   }
 
