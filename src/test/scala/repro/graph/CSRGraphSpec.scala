@@ -147,6 +147,15 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
+  test("multigraph: duplicate edges are preserved") {
+    // fromEdges keeps parallel directed edges; only fromUndirectedEdges merges.
+    val m = CSRGraph.fromEdges(2, Array(0, 0, 1, 1), Array(1, 1, 0, 0), Array(1.0f, 2.0f, 1.0f, 2.0f))
+    assert(m.degree(0) == 2)
+    assert(m.degree(1) == 2)
+    assert(m.neighbors.toSeq == Seq(1, 1, 0, 0))
+    assert(m.weights.toSeq.sorted == Seq(1.0f, 1.0f, 2.0f, 2.0f))
+  }
+
   test("repeated undirected pairs merge into one edge per slice, keeping the lowest weight") {
     // (0,1) three times, once reversed; (1,2) twice; (0,2) once.
     val m = CSRGraph.fromUndirectedEdges(3, Array(0, 1, 0, 1, 2, 0), Array(1, 0, 1, 2, 1, 2),
