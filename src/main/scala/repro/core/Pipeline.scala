@@ -20,7 +20,6 @@ final case class PhaseTimes(tInit: Double, tWalk: Double, tLearn: Double) {
 final case class RunResult(
     times: PhaseTimes,
     walkCount: Long,
-    tokenCount: Long,
     acceptanceRatio: Double,
     initCount: Long,
     steps: Long,
@@ -89,8 +88,6 @@ object Pipeline {
     val tInit = prepSec + lazyInitSec
     val tWalk = math.max(0.0, walkWallSec - lazyInitSec)
 
-    val tokenCount = walks.map(_.length.toLong).sum().toLong
-
     val tLearn =
       if (!cfg.learn) 0.0
       else {
@@ -107,7 +104,6 @@ object Pipeline {
     RunResult(
       PhaseTimes(tInit, tWalk, tLearn),
       walkCount = walkCount,
-      tokenCount = tokenCount,
       acceptanceRatio = acc.acceptanceRatio,
       initCount = acc.initCount.value,
       steps = acc.steps.value,

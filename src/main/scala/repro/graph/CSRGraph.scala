@@ -34,6 +34,7 @@ final class CSRGraph(
   require(offsets.length == numNodes + 1, "offsets must have numNodes+1 entries")
   require(neighbors.length == weights.length, "neighbors/weights misaligned")
   require(offsets(numNodes) == neighbors.length, "last offset must equal edge count")
+  require(nodeTypes == null || nodeTypes.length == numNodes, "nodeTypes must have numNodes entries")
 
   /** Number of directed adjacency entries (2x the undirected edge count). */
   def numDirectedEdges: Int = neighbors.length
@@ -59,8 +60,6 @@ final class CSRGraph(
     nodeType(srcNode) * numTypes + nodeType(dst(e))
 
   /** Index of u within N(v)'s sorted slice, or -1 if (v,u) is not an edge.
-    * When a multigraph slice holds u more than once, the index of the last
-    * copy.
     *
     * Each halving step keeps the upper half when its first entry is ≤ u,
     * so `b` ends on the last entry ≤ u after log2(deg) steps. The step's
@@ -112,25 +111,18 @@ final class CSRGraph(
 
 object CSRGraph {
 
-  /** Build a CSR graph from a *directed* edge array. Neighbor slices are
-    * sorted by destination id; parallel duplicate edges are kept as-is
-    * (multigraph).
-    */
-  def fromEdges(
-      numNodes: Int,
-      srcs: Array[Int],
-      dsts: Array[Int],
-      ws: Array[Float],
-      nodeTypes: Array[Byte] = null,
-      numTypes: Int = 1,
-  ): CSRGraph = build(numNodes, srcs, dsts, ws, nodeTypes, numTypes, merge = false)
-
   /** Symmetrize an undirected edge list into directed adjacency and build
     * the CSR: each pair contributes both directions with the same weight.
     * This is where graph input is deduplicated: a pair listed more than
     * once, in either orientation, becomes one edge in each of its two
     * slices, and both keep the first weight of the sorted copies, which for
     * non-negative weights is the lowest. A self-loop (u, u) keeps one entry.
+    * No slice therefore holds a neighbor twice.
+    *
+    * Both directions of each pair go straight into a counting-sorted array
+    * of (dst, weight bits) longs; each slice is then sorted and unpacked in
+    * one pass that drops an entry repeating the one before it, closing the
+    * offsets up behind it.
     */
   def fromUndirectedEdges(
       numNodes: Int,
@@ -141,48 +133,30 @@ object CSRGraph {
       numTypes: Int = 1,
   ): CSRGraph = {
     val m = us.length
-    val s = new Array[Int](2 * m); val d = new Array[Int](2 * m); val w = new Array[Float](2 * m)
-    var i = 0
-    while (i < m) {
-      s(i) = us(i); d(i) = vs(i); w(i) = ws(i)
-      s(m + i) = vs(i); d(m + i) = us(i); w(m + i) = ws(i)
-      i += 1
-    }
-    build(numNodes, s, d, w, nodeTypes, numTypes, merge = true)
-  }
-
-  /** Counting-sort the directed edges into slices, sort each slice by
-    * (dst, weight bits), then unpack; with `merge`, an entry whose dst
-    * repeats the one before it in its slice is dropped and the offsets
-    * close up behind it.
-    */
-  private def build(
-      numNodes: Int,
-      srcs: Array[Int],
-      dsts: Array[Int],
-      ws: Array[Float],
-      nodeTypes: Array[Byte],
-      numTypes: Int,
-      merge: Boolean,
-  ): CSRGraph = {
-    require(srcs.length == dsts.length && dsts.length == ws.length, "edge arrays misaligned")
-    val m = srcs.length
+    require(vs.length == m && ws.length == m, "edge arrays misaligned")
     val offsets = new Array[Int](numNodes + 1)
     var i = 0
-    while (i < m) { offsets(srcs(i) + 1) += 1; i += 1 }
-    i = 0
-    while (i < numNodes) { offsets(i + 1) += offsets(i); i += 1 }
-    val cursor = java.util.Arrays.copyOf(offsets, numNodes)
-    // Pack (dst, weightBits) into a long so each slice sorts without boxing.
-    val packed = new Array[Long](m)
-    i = 0
     while (i < m) {
-      val pos = cursor(srcs(i)); cursor(srcs(i)) = pos + 1
-      packed(pos) = (dsts(i).toLong << 32) | (java.lang.Float.floatToRawIntBits(ws(i)).toLong & 0xffffffffL)
+      val u = us(i); val v = vs(i)
+      require(u >= 0 && u < numNodes && v >= 0 && v < numNodes,
+              s"edge $i = ($u, $v) has a node id outside [0, $numNodes)")
+      offsets(u + 1) += 1; offsets(v + 1) += 1
       i += 1
     }
-    val neighbors = new Array[Int](m)
-    val weights = new Array[Float](m)
+    i = 0
+    while (i < numNodes) { offsets(i + 1) += offsets(i); i += 1 }
+    val cursor = Arrays.copyOf(offsets, numNodes)
+    val packed = new Array[Long](2 * m)
+    i = 0
+    while (i < m) {
+      val u = us(i); val v = vs(i)
+      val bits = java.lang.Float.floatToRawIntBits(ws(i)).toLong & 0xffffffffL
+      packed(cursor(u)) = (v.toLong << 32) | bits; cursor(u) += 1
+      packed(cursor(v)) = (u.toLong << 32) | bits; cursor(v) += 1
+      i += 1
+    }
+    val neighbors = new Array[Int](2 * m)
+    val weights = new Array[Float](2 * m)
     var out = 0
     i = 0
     var v = 0
@@ -192,7 +166,7 @@ object CSRGraph {
       val first = out
       while (i < end) {
         val u = (packed(i) >>> 32).toInt
-        if (!merge || out == first || neighbors(out - 1) != u) {
+        if (out == first || neighbors(out - 1) != u) {
           neighbors(out) = u
           weights(out) = java.lang.Float.intBitsToFloat(packed(i).toInt)
           out += 1
@@ -202,7 +176,7 @@ object CSRGraph {
       offsets(v + 1) = out
       v += 1
     }
-    if (out == m) new CSRGraph(numNodes, offsets, neighbors, weights, nodeTypes, numTypes)
+    if (out == 2 * m) new CSRGraph(numNodes, offsets, neighbors, weights, nodeTypes, numTypes)
     else new CSRGraph(numNodes, offsets, Arrays.copyOf(neighbors, out), Arrays.copyOf(weights, out),
                       nodeTypes, numTypes)
   }

@@ -17,7 +17,8 @@ final class Node2Vec(p: Double, q: Double) extends SecondOrderModel(p, q) {
 
   /** Outlier folding: when 1/p alone exceeds the rest of the bias range,
     * the single return edge (v, s) is the deterministic outlier KnightKing
-    * folds out of the envelope.
+    * folds out of the envelope. A graph from the CSRGraph constructor
+    * need not hold the reverse edge (cur, prev); there is then no outlier.
     */
   override def outlierEdge(g: CSRGraph, s: WalkState): Int = {
     if (s.prev < 0 || invP <= math.max(1.0, invQ)) -1

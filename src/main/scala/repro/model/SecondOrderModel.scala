@@ -51,8 +51,9 @@ abstract class SecondOrderModel(val p: Double, val q: Double) extends RandomWalk
     if (s.prev < 0) g.degree(s.cur)
     else {
       val i = g.neighborIndexOf(s.cur, s.prev)
-      // prev reached cur via an edge, and the graph is symmetric, so the
-      // reverse edge must exist; guard anyway for hand-built digraphs.
+      // prev reached cur via an edge, and fromUndirectedEdges builds every
+      // edge in both directions, so the reverse edge exists; guard anyway,
+      // since the CSRGraph constructor accepts any arrays.
       if (i >= 0) i else g.degree(s.cur)
     }
 

@@ -13,7 +13,6 @@ class PipelineSpec extends SparkSpec {
     val r = Pipeline.run(spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()),
                          RunConfig(numWalks = 2, walkLen = 8, partitions = 4, learn = true))
     assert(r.walkCount == 2L * g.numNodes)
-    assert(r.tokenCount == r.walkCount * 9) // connected: full length walks
     assert(r.times.tInit >= 0 && r.times.tWalk >= 0 && r.times.tLearn > 0)
     assert(math.abs(r.times.tTotal - (r.times.tInit + r.times.tWalk + r.times.tLearn)) < 1e-9)
   }

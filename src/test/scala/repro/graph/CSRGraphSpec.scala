@@ -63,38 +63,61 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("neighborIndexOf: empty slice, degree 1, both ends, out of range, duplicates") {
-    // Directed: N(0) = {2, 4, 4, 4, 7}, N(1) = {5}, N(2) = {}.
-    val d = CSRGraph.fromEdges(8, Array(0, 0, 0, 0, 0, 1), Array(4, 7, 2, 4, 4, 5), Array.fill(6)(1.0f))
-    assert(d.neighborIndexOf(2, 0) == -1) // empty slice
+    // (0,4) three times, once reversed: N(0) = {2, 4, 7}, N(1) = {5}, N(3) = {}.
+    val d = CSRGraph.fromUndirectedEdges(8, Array(0, 0, 0, 4, 0, 1), Array(4, 7, 2, 0, 4, 5),
+                                         Array.fill(6)(1.0f))
+    assert(d.neighborIndexOf(3, 0) == -1) // empty slice
     assert(d.neighborIndexOf(1, 5) == 0) // degree 1
     assert(d.neighborIndexOf(1, 4) == -1)
     assert(d.neighborIndexOf(1, 6) == -1)
     assert(d.neighborIndexOf(0, 2) == 0) // first entry
-    assert(d.neighborIndexOf(0, 7) == 4) // last entry
+    assert(d.neighborIndexOf(0, 7) == 2) // last entry
     assert(d.neighborIndexOf(0, 1) == -1) // below the slice's minimum
     assert(d.neighborIndexOf(0, Int.MinValue) == -1)
     assert(d.neighborIndexOf(0, 8) == -1) // above its maximum
     assert(d.neighborIndexOf(0, Int.MaxValue) == -1)
     assert(d.neighborIndexOf(0, 3) == -1) // a gap inside the slice
-    assert(d.neighborIndexOf(0, 4) == 3) // the last of three copies
+    assert(d.neighborIndexOf(0, 4) == 1) // the one entry of a repeated pair
   }
 
-  /** Index of the last copy of u in N(v), or -1: a linear scan. */
-  private def scanIndexOf(g: CSRGraph, v: Int, u: Int): Int =
-    (g.degree(v) - 1 to 0 by -1).find(j => g.dst(g.offset(v) + j) == u).getOrElse(-1)
+  /** Random undirected edge lists with repeats, reversed repeats and
+    * self-loops, weights in 1..9.
+    */
+  private val repeatedListGen = for {
+    n <- Gen.choose(1, 25)
+    m <- Gen.choose(0, 120)
+    es <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1), Gen.choose(1, 9)))
+  } yield (n, es)
+
+  private def buildList(n: Int, es: List[(Int, Int, Int)]): CSRGraph =
+    CSRGraph.fromUndirectedEdges(n, es.map(_._1).toArray, es.map(_._2).toArray, es.map(_._3.toFloat).toArray)
+
+  private def slice(g: CSRGraph, v: Int): IndexedSeq[Int] =
+    (0 until g.degree(v)).map(j => g.dst(g.offset(v) + j))
 
   test("property: neighborIndexOf agrees with a linear scan (random multigraphs)") {
-    val gen = for {
-      n <- Gen.choose(1, 25)
-      m <- Gen.choose(0, 120)
-      es <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
-    } yield (n, es)
-    forAllSamples(gen, n = 200) { case (n, es) =>
-      val g = CSRGraph.fromEdges(n, es.map(_._1).toArray, es.map(_._2).toArray, Array.fill(es.size)(1.0f))
+    forAllSamples(repeatedListGen, n = 200) { case (n, es) =>
+      val g = buildList(n, es)
       for (v <- 0 until n; u <- -1 to n) {
         val i = g.neighborIndexOf(v, u)
-        assert(i == scanIndexOf(g, v, u), s"v=$v u=$u N(v)=${(0 until g.degree(v)).map(j => g.dst(g.offset(v) + j))}")
+        assert(i == slice(g, v).indexOf(u), s"v=$v u=$u N(v)=${slice(g, v)}")
         assert(g.hasEdge(v, u) == (i >= 0))
+      }
+    }
+  }
+
+  test("property: slices strictly increase and every entry has its reverse with the same weight") {
+    forAllSamples(repeatedListGen, n = 200) { case (n, es) =>
+      val g = buildList(n, es)
+      for (v <- 0 until n) {
+        val nv = slice(g, v)
+        assert(nv.zip(nv.drop(1)).forall { case (a, b) => a < b }, s"N($v) = $nv")
+        for (j <- 0 until g.degree(v)) {
+          val e = g.offset(v) + j
+          val back = g.neighborIndexOf(g.dst(e), v)
+          assert(back >= 0, s"missing reverse of ($v,${g.dst(e)})")
+          assert(g.weight(g.offset(g.dst(e)) + back) == g.weight(e))
+        }
       }
     }
   }
@@ -141,19 +164,28 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
     assert(g.storageBytes == 4L * 5 + 4L * 8 + 4L * 8)
   }
 
-  test("fromEdges rejects misaligned arrays") {
+  test("fromUndirectedEdges rejects misaligned arrays and node ids out of range") {
     assertThrows[IllegalArgumentException] {
-      CSRGraph.fromEdges(2, Array(0), Array(1, 0), Array(1.0f))
+      CSRGraph.fromUndirectedEdges(3, Array(0), Array(1, 2), Array(1f, 1f, 1f))
+    }
+    assertThrows[IllegalArgumentException] {
+      CSRGraph.fromUndirectedEdges(3, Array(0), Array(1), Array(1f, 1f))
+    }
+    assertThrows[IllegalArgumentException] {
+      CSRGraph.fromUndirectedEdges(3, Array(0, 1), Array(1, 3), Array(1f, 1f))
+    }
+    assertThrows[IllegalArgumentException] {
+      CSRGraph.fromUndirectedEdges(3, Array(-1), Array(1), Array(1f))
     }
   }
 
-  test("multigraph: duplicate edges are preserved") {
-    // fromEdges keeps parallel directed edges; only fromUndirectedEdges merges.
-    val m = CSRGraph.fromEdges(2, Array(0, 0, 1, 1), Array(1, 1, 0, 0), Array(1.0f, 2.0f, 1.0f, 2.0f))
-    assert(m.degree(0) == 2)
-    assert(m.degree(1) == 2)
-    assert(m.neighbors.toSeq == Seq(1, 1, 0, 0))
-    assert(m.weights.toSeq.sorted == Seq(1.0f, 1.0f, 2.0f, 2.0f))
+  test("nodeTypes must give every node a type") {
+    assertThrows[IllegalArgumentException] {
+      CSRGraph.fromUndirectedEdges(3, Array(0), Array(1), Array(1f), Array[Byte](0, 1), 2)
+    }
+    assertThrows[IllegalArgumentException] {
+      new CSRGraph(3, Array(0, 1, 2, 2), Array(1, 0), Array(1f, 1f), Array[Byte](0, 1), 2)
+    }
   }
 
   test("repeated undirected pairs merge into one edge per slice, keeping the lowest weight") {
