@@ -8,8 +8,10 @@ import repro.graph.CSRGraph
   *  - `prev` — the previously visited node s (second-order models), or -1
   *    on the first step / for first-order models;
   *  - `cur`  — the node v the walker currently resides at;
-  *  - `aux`  — model-specific extra data; metapath2vec stores the walker's
-  *    position within the metapath here, other models ignore it.
+  *  - `aux`  — model-specific extra data: metapath2vec stores the walker's
+  *    position within the metapath here, the node2vec family the global
+  *    index of the edge (prev -> cur) it arrived on, and deepwalk
+  *    ignores it.
   */
 final case class WalkState(prev: Int, cur: Int, aux: Int)
 
@@ -24,8 +26,8 @@ final case class WalkState(prev: Int, cur: Int, aux: Int)
   *  - `slotBase`/`affixture` realize the paper's 2D data layout (§IV-C):
   *    a state decomposes into *position* (the current node) and
   *    *affixture* (an index within that node's bucket), and `slot` maps it
-  *    to one index in [0, `numSlots`) — M-H's flat LAST_x array and the
-  *    precomputed alias tables are indexed by it;
+  *    to one index in [0, `numSlots`) in O(1) — M-H's flat LAST_x array
+  *    and the precomputed alias tables are indexed by it;
   *  - `bias`/`maxBias` expose w' = bias * w for the rejection-style
   *    samplers (rejection, KnightKing) that need an envelope over the
   *    static-weight proposal distribution.
@@ -60,18 +62,26 @@ trait RandomWalkModel extends Serializable {
   /** Number of slots over all buckets. */
   final def numSlots(g: CSRGraph): Int = slotBase(g, g.numNodes)
 
-  /** The slot of state `s`, in [0, numSlots). */
-  final def slot(g: CSRGraph, s: WalkState): Int = slotBase(g, s.cur) + affixture(g, s)
+  /** The slot of state `s`, in [0, numSlots): one slot per state, each
+    * state of node v's bucket mapped to a distinct slot. First-order
+    * models use the position-major order of Fig. 4, `slotBase(v)` plus
+    * the affixture; second-order models key a state by the edge it
+    * arrived on (see [[repro.model.SecondOrderModel]]), so the states of a
+    * bucket need not lie in [slotBase(v), slotBase(v + 1)).
+    */
+  def slot(g: CSRGraph, s: WalkState): Int = slotBase(g, s.cur) + affixture(g, s)
 
   /** Index of state `s` within the bucket of node `s.cur`, in
     * [0, bucketSize). For second-order models this is the index of the
-    * previous node among N(cur) (O(log deg) binary search).
+    * previous node among N(cur) (O(log deg) binary search), which no
+    * sampler's draw needs.
     */
   def affixture(g: CSRGraph, s: WalkState): Int
 
   /** Reconstruct the walker state of bucket slot (v, affix) — the inverse
     * of `affixture`, used by samplers that eagerly materialize one
-    * structure per state (precompute-all alias tables).
+    * structure per state (precompute-all alias tables, which store it at
+    * `slot(stateFor(v, affix))`).
     */
   def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState
 
@@ -105,10 +115,11 @@ trait RandomWalkModel extends Serializable {
     * slot for first-order models (|V|, or |V| * |Phi| for metapath2vec),
     * |E| (directed) for second-order ones, whose prev-less first-step
     * slots are not counted. M-H's LAST_x array has `numSlots` entries, so
-    * for second-order models it holds |V| slots more than this; the walk
-    * job's `localBytes` measures it. The check that it stays within
-    * 4 * numStates is open (ROADMAP item 2); this count stays Table I's
-    * rather than absorbing the prev-less slots.
+    * for second-order models it holds |V| slots more than this. Its
+    * 2-byte entries keep it within the paper's 4 bytes per state whenever
+    * |V| <= |E|dir; a graph with a node of degree above 65,534 takes 4
+    * bytes per slot (see [[repro.sampler.MHSamplerFactory]]). The walk
+    * job's `localBytes` measures the array.
     */
   def numStates(g: CSRGraph): Long =
     if (isSecondOrder) g.numDirectedEdges.toLong else numSlots(g).toLong

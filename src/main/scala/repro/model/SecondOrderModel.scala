@@ -36,16 +36,30 @@ abstract class SecondOrderModel(val p: Double, val q: Double) extends RandomWalk
     }
   }
 
+  /** The next state keeps the traversed edge in `aux`: it is the state's
+    * slot.
+    */
   override final def updateState(g: CSRGraph, s: WalkState, e: Int): WalkState =
-    WalkState(s.cur, g.dst(e), 0)
+    WalkState(s.cur, g.dst(e), e)
 
   override final def initialState(g: CSRGraph, start: Int): WalkState = WalkState(-1, start, 0)
 
-  /** 2D layout (Fig. 4): one sampler per (v, index-of-s-in-N(v)) plus one
-    * extra slot for the first step's prev-less state, so node v's bucket
-    * starts at its CSR offset plus one prev-less slot per earlier node.
+  /** Node v's bucket: one state per (v, index-of-s-in-N(v)) plus the first
+    * step's prev-less state, deg(v) + 1 slots; `slotBase` counts them.
     */
   override final def slotBase(g: CSRGraph, v: Int): Int = g.offset(v) + v
+
+  /** Edge-keyed slots: a state (s, v) is the directed edge (s -> v) it
+    * arrived on, which `updateState` carries in `aux`, and the prev-less
+    * first step of node v is |E|dir + v. States and edges correspond one
+    * to one, since the CSR holds no parallel edge, so the slots fill
+    * [0, numSlots) with no search; this departs from Fig. 4's
+    * position-major order, where a state's slot is `slotBase(v)` plus
+    * its affixture. A second-order state must therefore come from
+    * `initialState`/`updateState` (or `stateFor`), not be built by hand.
+    */
+  override final def slot(g: CSRGraph, s: WalkState): Int =
+    if (s.prev < 0) g.numDirectedEdges + s.cur else s.aux
 
   override final def affixture(g: CSRGraph, s: WalkState): Int =
     if (s.prev < 0) g.degree(s.cur)
@@ -57,7 +71,16 @@ abstract class SecondOrderModel(val p: Double, val q: Double) extends RandomWalk
       if (i >= 0) i else g.degree(s.cur)
     }
 
+  /** The state at affixture `affix` of node v, with the edge (s -> v) it
+    * arrives on; it needs the reverse of N(v)'s edge (v -> s), which a
+    * symmetric adjacency such as `fromUndirectedEdges`' always holds.
+    */
   override final def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState =
     if (affix >= g.degree(v)) WalkState(-1, v, 0)
-    else WalkState(g.dst(g.offset(v) + affix), v, 0)
+    else {
+      val prev = g.dst(g.offset(v) + affix)
+      val i = g.neighborIndexOf(prev, v)
+      require(i >= 0, s"no edge $prev -> $v: second-order states need a symmetric adjacency")
+      WalkState(prev, v, g.offset(prev) + i)
+    }
 }

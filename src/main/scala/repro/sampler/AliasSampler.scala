@@ -50,11 +50,10 @@ final class AliasSamplerFactory(val budgetBytes: Long = Long.MaxValue) extends S
     val built = new Array[AliasTable](model.numSlots(g))
     SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
       if (enabled(v)) {
-        val base = model.slotBase(g, v)
         var a = 0
         while (a < model.bucketSize(g, v)) {
-          built(base + a) = AliasMethod.build(
-            SamplerUtil.dynamicWeights(g, model, model.stateFor(g, v, a)))
+          val s = model.stateFor(g, v, a)
+          built(model.slot(g, s)) = AliasMethod.build(SamplerUtil.dynamicWeights(g, model, s))
           a += 1
         }
       }

@@ -22,11 +22,13 @@ import repro.graph.DatasetConfig
   * |E|dir is `DatasetConfig.paperEdges`, the directed adjacency count
   * = |V| * mean-degree, matching the paper's Table V convention.
   *
-  * M-H's #state is Table I's. A second-order model's LAST_x array also
-  * holds one prev-less first-step slot per node, |V| more than #state;
-  * the measured figure is the walk job's `localBytes`. The check that it
-  * stays within the formula is open (ROADMAP item 2), and the formula is
-  * kept as the paper's rather than relaxed to fit.
+  * M-H's #state is Table I's, charged 4 bytes each: the program stores a
+  * LAST_x entry in 2 bytes only while every degree fits 16 bits (at most
+  * 65,534), and the paper-scale graphs' hubs can exceed that. A
+  * second-order model's LAST_x array also holds one prev-less first-step
+  * slot per node, |V| more than #state; at 2 bytes per entry the measured
+  * array (the walk job's `localBytes`) stays within the formula whenever
+  * |V| <= |E|dir, which `MHSamplerSpec` checks for all five models.
   */
 object MemoryModel {
   val PaperServerBytes: Long = 96L * (1L << 30)

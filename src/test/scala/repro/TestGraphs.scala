@@ -61,6 +61,16 @@ object TestGraphs {
     else fromTriples(n, es, Array.tabulate(n)(v => (v % numTypes).toByte), numTypes)
   }
 
+  /** The state of a walker that has just stepped from `prev` to `cur`, as
+    * a walk reaches it: a second-order model's state carries the edge
+    * (prev -> cur), which keys its slot.
+    */
+  def arrived(g: CSRGraph, model: RandomWalkModel, prev: Int, cur: Int): WalkState = {
+    val i = g.neighborIndexOf(prev, cur)
+    require(i >= 0, s"no edge $prev -> $cur")
+    model.updateState(g, model.initialState(g, prev), g.offset(prev) + i)
+  }
+
   /** Normalized target transition distribution of state `s` under `model`:
     * index j -> probability of neighbor slot j of s.cur.
     */

@@ -62,7 +62,7 @@ class PipelineSpec extends SparkSpec {
     assert(r.samplerLocalBytes > 0) // LAST_x storage was allocated
     // ... once: local mode is one executor, so one array, charged only locally.
     assert(r.samplerSharedBytes == 0L)
-    assert(r.samplerLocalBytes == 4L * m.numSlots(g))
+    assert(r.samplerLocalBytes == 2L * m.numSlots(g))
   }
 
   test("acceptance ratio is reported and sane for M-H") {

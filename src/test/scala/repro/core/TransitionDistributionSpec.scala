@@ -1,8 +1,8 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.model.{DeepWalk, FairWalk, Node2Vec}
-import repro.sampler.{DirectSamplerFactory, HighWeightInit, MHSamplerFactory, RandomInit}
+import repro.model.{DeepWalk, Edge2Vec, FairWalk, Node2Vec}
+import repro.sampler.{AliasSamplerFactory, DirectSamplerFactory, HighWeightInit, MHSamplerFactory, RandomInit}
 
 /** End-to-end statistical correctness: the transition frequencies of the
   * generated walks must match each model's normalized target distribution
@@ -75,7 +75,7 @@ class TransitionDistributionSpec extends SparkSpec {
     val g = TestGraphs.trianglePendant
     val m = new Node2Vec(0.25, 4.0)
     val emp = secondStepDist(g, m, DirectSamplerFactory, 1, 0, 60_000, 23L)
-    val target = TestGraphs.targetDistribution(g, m, WalkState(1, 0, 0))
+    val target = TestGraphs.targetDistribution(g, m, TestGraphs.arrived(g, m, 1, 0))
     assert(TestGraphs.l1(emp, target) < 0.05)
   }
 
@@ -83,11 +83,28 @@ class TransitionDistributionSpec extends SparkSpec {
     val g = TestGraphs.trianglePendant
     val m = new Node2Vec(0.25, 4.0)
     val emp = secondStepDist(g, m, new MHSamplerFactory(HighWeightInit()), 1, 0, 60_000, 29L)
-    val target = TestGraphs.targetDistribution(g, m, WalkState(1, 0, 0))
+    val target = TestGraphs.targetDistribution(g, m, TestGraphs.arrived(g, m, 1, 0))
     // All walks at state (1, 0) read one shared chain, so consecutive
     // draws are correlated; the tolerance is looser than the direct
     // sampler's (measured L1 0.009-0.021 over five runs).
     assert(TestGraphs.l1(emp, target) < 0.06)
+  }
+
+  test("node2vec conditional second-step frequencies match Eq. 2 (alias)") {
+    val g = TestGraphs.trianglePendant
+    val m = new Node2Vec(0.25, 4.0)
+    val emp = secondStepDist(g, m, new AliasSamplerFactory, 1, 0, 60_000, 37L)
+    val target = TestGraphs.targetDistribution(g, m, TestGraphs.arrived(g, m, 1, 0))
+    assert(TestGraphs.l1(emp, target) < 0.05)
+  }
+
+  test("edge2vec and fairwalk conditional second-step frequencies match Eqs. 3 and 5 (M-H)") {
+    val g = TestGraphs.typedGraph
+    for ((m, seed) <- Seq((Edge2Vec(0.25, 4.0), 41L), (new FairWalk(0.25, 4.0), 43L))) {
+      val emp = secondStepDist(g, m, new MHSamplerFactory(HighWeightInit()), 1, 0, 60_000, seed)
+      val target = TestGraphs.targetDistribution(g, m, TestGraphs.arrived(g, m, 1, 0))
+      assert(TestGraphs.l1(emp, target) < 0.06, m.name)
+    }
   }
 
   test("fairwalk equalizes type masses in first-step frequencies (M-H)") {

@@ -137,7 +137,7 @@ class UniNetSpec extends SparkSpec {
     val (reused, reusedBytes) = run(bcF, 4, 3L)
     val (fresh, _) = run(bcMH(), 4, 3L)
     assert(reused == fresh)
-    assert(dirtyBytes == 4L * m.numSlots(uni) && reusedBytes == 0L)
+    assert(dirtyBytes == 2L * m.numSlots(uni) && reusedBytes == 0L)
     // A 1-partition job repeated on the same factory allocates nothing new.
     val bc1 = bcMH()
     val (once, onceBytes) = run(bc1, 1, 7L)
@@ -151,7 +151,7 @@ class UniNetSpec extends SparkSpec {
     // One array per executor's copy of the factory (one JVM in local mode),
     // whatever the number of partitions or of cores that ran them.
     val m = new Node2Vec(0.5, 2.0)
-    val arrayBytes = 4L * m.numSlots(g)
+    val arrayBytes = 2L * m.numSlots(g)
     for (parts <- Seq(1, 4, 16)) {
       val bcF = bcMH()
       def run() = {

@@ -71,7 +71,8 @@ class Edge2VecSpec extends AnyFunSuite {
     assert(model.isSecondOrder)
     assert(model.numStates(g) == g.numDirectedEdges)
     assert(model.bucketSize(g, 0) == g.degree(0) + 1)
-    assert(model.affixture(g, WalkState(1, 0, 0)) == g.neighborIndexOf(0, 1))
-    assert(model.stateFor(g, 0, g.neighborIndexOf(0, 1)) == WalkState(1, 0, 0))
+    val s = TestGraphs.arrived(g, model, 1, 0)
+    assert(model.affixture(g, s) == g.neighborIndexOf(0, 1))
+    assert(model.stateFor(g, 0, g.neighborIndexOf(0, 1)) == s)
   }
 }

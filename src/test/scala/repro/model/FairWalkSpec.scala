@@ -69,6 +69,6 @@ class FairWalkSpec extends AnyFunSuite {
     assert(m.isSecondOrder)
     assert(m.numStates(g) == g.numDirectedEdges)
     assert(m.bucketSize(g, 0) == g.degree(0) + 1)
-    assert(m.stateFor(g, 0, 0) == WalkState(g.dst(g.offset(0)), 0, 0))
+    assert(m.stateFor(g, 0, 0) == TestGraphs.arrived(g, m, g.dst(g.offset(0)), 0))
   }
 }

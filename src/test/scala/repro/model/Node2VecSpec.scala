@@ -55,7 +55,7 @@ class Node2VecSpec extends AnyFunSuite {
 
   test("updateState records the traversed edge") {
     val m = new Node2Vec(1, 1)
-    assert(m.updateState(g, WalkState(1, 0, 0), e(0, 2)) == WalkState(0, 2, 0))
+    assert(m.updateState(g, TestGraphs.arrived(g, m, 1, 0), e(0, 2)) == WalkState(0, 2, e(0, 2)))
   }
 
   test("state space is |E| (second order)") {
@@ -66,7 +66,7 @@ class Node2VecSpec extends AnyFunSuite {
 
   test("2D layout: affixture is the index of prev among N(cur)") {
     val m = new Node2Vec(1, 1)
-    assert(m.affixture(g, WalkState(2, 0, 0)) == g.neighborIndexOf(0, 2))
+    assert(m.affixture(g, TestGraphs.arrived(g, m, 2, 0)) == g.neighborIndexOf(0, 2))
     assert(m.affixture(g, WalkState(-1, 0, 0)) == g.degree(0)) // first-step slot
     assert(m.bucketSize(g, 0) == g.degree(0) + 1)
   }
@@ -78,18 +78,27 @@ class Node2VecSpec extends AnyFunSuite {
       val slots = for (v <- 0 until graph.numNodes; a <- 0 until m.bucketSize(graph, v)) yield {
         val s = m.stateFor(graph, v, a)
         assert(m.affixture(graph, s) == a, s"${m.name} v=$v a=$a")
-        assert(m.slot(graph, s) == m.slotBase(graph, v) + a, s"${m.name} v=$v a=$a")
         m.slot(graph, s)
       }
-      // The buckets tile [0, numSlots) in node order, no gap or overlap.
-      assert(slots == (0 until m.numSlots(graph)), m.name)
+      // One slot per state: the states fill [0, numSlots), no gap or overlap.
+      assert(slots.sorted == (0 until m.numSlots(graph)), m.name)
+      // First-order models keep Fig. 4's position-major order.
+      if (!m.isSecondOrder) assert(slots == (0 until m.numSlots(graph)), m.name)
     }
-    // The node2vec family (SecondOrderModel) keeps the first step's
-    // prev-less state in the last slot of each bucket.
+    // The node2vec family (SecondOrderModel) keys a state by the edge it
+    // arrived on, and the first step's prev-less state by |E|dir + v.
     for (graph <- Seq(g, TestGraphs.typedGraph); m <- secondOrder; v <- 0 until graph.numNodes) {
       assert(m.stateFor(graph, v, graph.degree(v)) == WalkState(-1, v, 0), m.name)
       assert(m.initialState(graph, v) == WalkState(-1, v, 0), m.name)
       assert(m.affixture(graph, m.initialState(graph, v)) == graph.degree(v), m.name)
+      assert(m.slot(graph, m.initialState(graph, v)) == graph.numDirectedEdges + v, m.name)
+      for (a <- 0 until graph.degree(v)) {
+        val s = m.stateFor(graph, v, a)
+        assert(s.prev == graph.dst(graph.offset(v) + a), s"${m.name} v=$v a=$a")
+        assert(s == TestGraphs.arrived(graph, m, s.prev, v), s"${m.name} v=$v a=$a")
+        val x = m.slot(graph, s) // the edge (prev -> v)
+        assert(x - graph.offset(s.prev) == graph.neighborIndexOf(s.prev, v), s"${m.name} v=$v a=$a")
+      }
     }
   }
 

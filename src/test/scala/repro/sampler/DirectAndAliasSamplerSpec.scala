@@ -25,7 +25,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
 
   test("direct sampler matches node2vec's Eq. 2 distribution") {
     val m = new Node2Vec(0.25, 4.0)
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     val sampler = DirectSamplerFactory.create(g, m)
     val emp = TestGraphs.empiricalDistribution(g, sampler, s, 200_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
@@ -59,7 +59,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     val f = new AliasSamplerFactory
     f.prepare(g, m, parallel = false)
     val sampler = f.create(g, m)
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     val emp = TestGraphs.empiricalDistribution(g, sampler, s, 200_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
   }
@@ -130,7 +130,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
   test("zero budget: every state samples directly (O(deg) trials)") {
     val (f, smp) = budgeted(0L)
     assert(f.memoryBytes(mg, mm) == 0L)
-    val s = WalkState(mg.dst(mg.offset(0)), 0, 0)
+    val s = TestGraphs.arrived(mg, mm, mg.dst(mg.offset(0)), 0)
     val emp = TestGraphs.empiricalDistribution(mg, smp, s, 100_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(mg, mm, s)) < 0.03)
     assert(smp.stats.trials == 100_000L * mg.degree(0))
@@ -140,7 +140,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
   test("unbounded budget: every state is aliased (O(1) trials)") {
     val (f, smp) = budgeted(Long.MaxValue)
     assert(f.memoryBytes(mg, mm) > 0L) // every table is built, and counted, in prepare
-    val s = WalkState(mg.dst(mg.offset(0)), 0, 0)
+    val s = TestGraphs.arrived(mg, mm, mg.dst(mg.offset(0)), 0)
     val emp = TestGraphs.empiricalDistribution(mg, smp, s, 100_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(mg, mm, s)) < 0.03)
     assert(smp.stats.trials == 100_000L)
@@ -155,8 +155,8 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     val (f, smp) = budgeted(hubCost)
     assert(f.memoryBytes(mg, mm) <= hubCost)
     // The hub must be aliased; the cheapest node must not be.
-    val sHub = WalkState(mg.dst(mg.offset(hub)), hub, 0)
-    val sLeaf = WalkState(mg.dst(mg.offset(leaf)), leaf, 0)
+    val sHub = TestGraphs.arrived(mg, mm, mg.dst(mg.offset(hub)), hub)
+    val sLeaf = TestGraphs.arrived(mg, mm, mg.dst(mg.offset(leaf)), leaf)
     val rng = new SplittableRandom(3)
     smp.sample(sHub, rng)
     assert(smp.stats.trials == 1L, "hub state should draw from its alias table")
@@ -171,7 +171,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     val rng = new SplittableRandom(4)
     // Touch many states: drawing allocates nothing.
     for (v <- 0 until mg.numNodes; if mg.degree(v) > 0) {
-      smp.sample(WalkState(mg.dst(mg.offset(v)), v, 0), rng)
+      smp.sample(TestGraphs.arrived(mg, mm, mg.dst(mg.offset(v)), v), rng)
     }
     assert(smp.stats.localBytes == 0L)
   }
@@ -179,7 +179,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
   test("distribution correctness on a budget boundary mix") {
     val (_, smp) = budgeted(20_000L)
     val hub = (0 until mg.numNodes).maxBy(mg.degree)
-    val s = WalkState(mg.dst(mg.offset(hub)), hub, 0)
+    val s = TestGraphs.arrived(mg, mm, mg.dst(mg.offset(hub)), hub)
     val emp = TestGraphs.empiricalDistribution(mg, smp, s, 150_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(mg, mm, s)) < 0.03)
   }

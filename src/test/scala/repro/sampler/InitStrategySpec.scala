@@ -156,7 +156,7 @@ class InitStrategySpec extends AnyFunSuite {
     assert(maxDeg > 16, "the graph needs hub states with more neighbours than probes")
     // Every second-order state: the prev-less one of each node, then one per in-edge.
     val states = (0 until g.numNodes).flatMap { v =>
-      WalkState(-1, v, 0) +: (0 until g.degree(v)).map(j => WalkState(g.dst(g.offset(v) + j), v, 0))
+      m.initialState(g, v) +: (0 until g.degree(v)).map(j => TestGraphs.arrived(g, m, g.dst(g.offset(v) + j), v))
     }
     for (k <- Seq(1, 16, maxDeg + 1)) {
       val smp = new MHSamplerFactory(HighWeightInit(k)).create(g, m).asInstanceOf[MHSampler]

@@ -24,7 +24,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
   test("matches node2vec's distribution when folding is active (p < 1)") {
     val m = new Node2Vec(0.25, 1.0) // 1/p = 4 dominates: return edge is an outlier
     val smp = make(m)
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     assert(m.outlierEdge(g, s) >= 0)
     val emp = TestGraphs.empiricalDistribution(g, smp, s, 300_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
@@ -33,7 +33,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
   test("matches node2vec's distribution without folding (p >= 1)") {
     val m = new Node2Vec(4.0, 0.5)
     val smp = make(m)
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     val emp = TestGraphs.empiricalDistribution(g, smp, s, 300_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
   }
@@ -42,7 +42,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
     val t = TestGraphs.typedGraph
     val m = Edge2Vec(0.25, 0.25)
     val smp = make(m, t)
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     val emp = TestGraphs.empiricalDistribution(t, smp, s, 300_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(t, m, s)) < 0.02)
   }
@@ -50,7 +50,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
   test("folding beats plain rejection on acceptance when 1/p is the outlier") {
     val star = TestGraphs.starWithWeights(Seq(1, 1, 1, 1, 1, 1, 1, 1))
     val m = new Node2Vec(0.05, 1.0) // 1/p = 20: heavy single outlier
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     val kk = make(m, star)
     TestGraphs.empiricalDistribution(star, kk, s, 100_000)
     val rej = {
@@ -71,7 +71,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
   test("pre-acceptance fires when the model has a positive bias floor") {
     val m = new Node2Vec(1.0, 2.0) // biases in [0.5, 1]: floor 0.5
     val smp = make(m)
-    TestGraphs.empiricalDistribution(g, smp, WalkState(1, 0, 0), 50_000)
+    TestGraphs.empiricalDistribution(g, smp, TestGraphs.arrived(g, m, 1, 0), 50_000)
     assert(smp.stats.preAccepts > 0)
     // Pre-accepted draws are still correct: distribution already checked
     // above; here check the floor share is plausible (>= 40% of accepts).

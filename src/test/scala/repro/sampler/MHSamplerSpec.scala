@@ -3,13 +3,14 @@ package repro.sampler
 import java.util.SplittableRandom
 import java.util.concurrent.{Callable, CyclicBarrier, Executors}
 
+import org.apache.spark.util.SizeEstimator
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{PropHelpers, TestGraphs}
-import repro.core.WalkState
+import repro.core.{UniNet, WalkState}
 import repro.graph.GraphGen
-import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
+import repro.model.{DeepWalk, Edge2Vec, FairWalk, MetaPath2Vec, Node2Vec}
 
 /** M-H edge sampler (Alg. 1): chain convergence to arbitrary unnormalized
   * targets, O(1) bookkeeping, chains shared by concurrent walkers, and
@@ -33,7 +34,7 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
   test("chain converges to node2vec's Eq. 2 target from a second-order state") {
     val g = TestGraphs.trianglePendant
     val m = new Node2Vec(0.25, 4.0)
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     val smp = make(g, m)
     val emp = TestGraphs.empiricalDistribution(g, smp, s, 500_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
@@ -102,6 +103,71 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
       (0 until 10).foreach(_ => assert(smp.sample(s, rng) == -1, s"${m.name} $init"))
       assert(smp.stats.initCount == 1, s"${m.name} $init")
       assert(smp.stats.steps == 10, s"${m.name} $init")
+      assert(smp.slots(m.slot(g, s)) == ChainStore.NoEdge, s"${m.name} $init")
+    }
+  }
+
+  test("isolated and degree-1 nodes on the 2-byte store") {
+    // Path 0-1 and the isolated node 2.
+    val g = repro.graph.CSRGraph.fromUndirectedEdges(3, Array(0), Array(1), Array(1f))
+    for (m <- Seq(new DeepWalk, new Node2Vec(0.5, 2.0)); init <- Seq(RandomInit, HighWeightInit())) {
+      val smp = make(g, m, init)
+      val rng = new SplittableRandom(9)
+      assert(smp.slots.array.isInstanceOf[Array[Char]], m.name)
+      // A degree-0 node draws nothing and initializes nothing.
+      assert(UniNet.runWalk(g, m, smp, 2, 5, rng).toSeq == Seq(2), m.name)
+      assert(smp.stats.steps == 0 && smp.stats.initCount == 0, m.name)
+      // A degree-1 state's only edge is offset 0 of its slice.
+      assert(UniNet.runWalk(g, m, smp, 0, 6, rng).toSeq == Seq(0, 1, 0, 1, 0, 1, 0), s"${m.name} $init")
+      val states = Seq(m.initialState(g, 0), TestGraphs.arrived(g, m, 0, 1), TestGraphs.arrived(g, m, 1, 0))
+      val slots = states.map(m.slot(g, _)).distinct
+      assert(smp.stats.initCount == slots.size, s"${m.name} $init") // deepwalk 2, node2vec 3
+      slots.foreach(x => assert(smp.slots(x) == ChainStore.First, s"${m.name} $init"))
+      assert(smp.stats.accepts == smp.stats.trials, s"${m.name} $init")
+    }
+  }
+
+  test("a node of degree above 65,534 takes 4-byte entries and draws on target") {
+    val leaves = 65_535
+    // Leaf weights step from 1 to 16 across 16 groups of 4,096 slots; the
+    // last leaf, at offset 65,534, has entry 65,536, which 2 bytes cannot hold.
+    val group = 4096
+    val g = TestGraphs.starWithWeights((0 until leaves).map(i => 1.0 + i / group))
+    val m = new DeepWalk
+    val smp = make(g, m)
+    assert(smp.slots.array.isInstanceOf[Array[Int]])
+    assert(smp.stats.localBytes == 4L * m.numSlots(g))
+    val hub = m.initialState(g, 0)
+    val draws = 1_000_000
+    val emp = TestGraphs.empiricalDistribution(g, smp, hub, draws, seed = 3L)
+    val target = TestGraphs.targetDistribution(g, m, hub)
+    def grouped(p: Array[Double]) = p.grouped(group).map(_.sum).toArray
+    val l1 = TestGraphs.l1(grouped(emp), grouped(target))
+    assert(l1 < 0.03, s"L1 over ${leaves / group + 1} slot groups: $l1")
+    assert(emp(leaves - 1) > 0, "the last edge was never drawn")
+    // An entry that wrapped to 0 would read as uninitialized and init again.
+    assert(smp.stats.initCount == 1)
+    val rng = new SplittableRandom(4)
+    for (start <- Seq(0, 1, leaves)) {
+      val w = UniNet.runWalk(g, m, smp, start, 20, rng)
+      assert(w.length == 21, s"start $start")
+      w.sliding(2).foreach(p => assert(g.hasEdge(p(0), p(1)), s"start $start: ${p.toSeq}"))
+    }
+  }
+
+  test("LAST_x bytes are the allocated array's, at most 4 bytes per state") {
+    val g = TestGraphs.mediumGraph(numTypes = 3)
+    val models = Seq(new DeepWalk, new Node2Vec(0.5, 2.0), new MetaPath2Vec(Array(0, 1, 2)),
+                     Edge2Vec(0.5, 2.0), new FairWalk(0.5, 2.0))
+    for (m <- models) {
+      val smp = make(g, m)
+      val array = smp.slots.array
+      val header = SizeEstimator.estimate(
+        java.lang.reflect.Array.newInstance(array.getClass.getComponentType, 0))
+      // SizeEstimator rounds each object up to a multiple of 8 bytes.
+      val slack = SizeEstimator.estimate(array) - header - smp.stats.localBytes
+      assert(slack >= 0 && slack < 8, s"${m.name}: ${smp.stats.localBytes} B, slack $slack")
+      assert(smp.stats.localBytes <= 4L * m.numStates(g), m.name)
     }
   }
 
@@ -115,14 +181,15 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     val m = new Node2Vec(1, 1)
     val smp = make(g, m)
     val rng = new SplittableRandom(5)
-    smp.sample(WalkState(1, 0, 0), rng)
-    smp.sample(WalkState(1, 0, 0), rng)
-    smp.sample(WalkState(2, 0, 0), rng)
+    smp.sample(TestGraphs.arrived(g, m, 1, 0), rng)
+    smp.sample(TestGraphs.arrived(g, m, 1, 0), rng)
+    smp.sample(TestGraphs.arrived(g, m, 2, 0), rng)
     assert(smp.stats.initCount == 2) // two distinct states touched
-    // A fresh factory's first sampler allocates the whole flat LAST_x array.
-    assert(smp.stats.localBytes == 4L * m.numSlots(g))
-    smp.sample(WalkState(0, 1, 0), rng)
-    assert(smp.stats.localBytes == 4L * m.numSlots(g))
+    // A fresh factory's first sampler allocates the whole flat LAST_x
+    // array, 2 bytes per slot.
+    assert(smp.stats.localBytes == 2L * m.numSlots(g))
+    smp.sample(TestGraphs.arrived(g, m, 0, 1), rng)
+    assert(smp.stats.localBytes == 2L * m.numSlots(g))
   }
 
   test("samplers of one factory share LAST_x only for the same graph and model") {
@@ -130,7 +197,7 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     val f = new MHSamplerFactory(RandomInit)
     val rng = new SplittableRandom(5)
     val a = f.create(g, new DeepWalk).asInstanceOf[MHSampler]
-    assert(a.stats.localBytes == 4L * g.numNodes)
+    assert(a.stats.localBytes == 2L * g.numNodes)
     assert(a.sample(WalkState(-1, 0, 0), rng) >= 0)
     // Every task deserializes its own model; an equal one shares the chains.
     val b = f.create(g, new DeepWalk).asInstanceOf[MHSampler]
@@ -143,8 +210,8 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     for ((g2, m2) <- others) {
       val c = f.create(g2, m2).asInstanceOf[MHSampler]
       assert(!(c.slots eq a.slots), m2.name)
-      assert(c.stats.localBytes == 4L * m2.numSlots(g2), m2.name)
-      assert((0 until c.slots.length).forall(c.slots.get(_) == -1), m2.name)
+      assert(c.stats.localBytes == 2L * m2.numSlots(g2), m2.name)
+      assert((0 until c.slots.length).forall(c.slots(_) == ChainStore.Uninit), m2.name)
     }
   }
 
@@ -154,7 +221,7 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     // Second-order states (prev, cur) of a few nodes, every walker in the
     // same order, so first touches collide.
     val states =
-      for (v <- 0 until 8; j <- 0 until g.degree(v)) yield WalkState(g.dst(g.offset(v) + j), v, 0)
+      for (v <- 0 until 8; j <- 0 until g.degree(v)) yield TestGraphs.arrived(g, m, g.dst(g.offset(v) + j), v)
     val threads = 4
     val pool = Executors.newFixedThreadPool(threads)
     try {
@@ -209,7 +276,7 @@ class MHSamplerSpec extends AnyFunSuite with PropHelpers {
     def run(): Seq[Int] = {
       val smp = make(g, m)
       val rng = new SplittableRandom(77)
-      val s = WalkState(g.dst(g.offset(3)), 3, 0)
+      val s = TestGraphs.arrived(g, m, g.dst(g.offset(3)), 3)
       (0 until 1000).map(_ => smp.sample(s, rng))
     }
     assert(run() == run())

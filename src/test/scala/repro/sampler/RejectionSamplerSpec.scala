@@ -32,7 +32,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
     for ((p, q) <- Seq((0.25, 4.0), (4.0, 0.25), (1.0, 1.0), (0.5, 2.0), (1.0, 2.0))) {
       val m = new Node2Vec(p, q)
       val (_, smp) = sampler(m)
-      val s = WalkState(1, 0, 0)
+      val s = TestGraphs.arrived(g, m, 1, 0)
       val emp = TestGraphs.empiricalDistribution(g, smp, s, 200_000)
       assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02,
              s"(p,q)=($p,$q)")
@@ -49,7 +49,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
     val f = new KnightKingSamplerFactory(optimized = false)
     f.prepare(star, m, parallel = false)
     val smp = f.create(star, m)
-    val s = WalkState(1, 0, 0)
+    val s = TestGraphs.arrived(g, m, 1, 0)
     TestGraphs.empiricalDistribution(star, smp, s, 200_000)
     val expected = (4.0 + 1 + 1 + 1) / 4 / 4.0 // E[alpha] / envelope
     val measured = smp.stats.accepts.toDouble / smp.stats.trials
@@ -60,7 +60,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
     def acceptance(p: Double, q: Double): Double = {
       val m = new Node2Vec(p, q)
       val (_, smp) = sampler(m)
-      TestGraphs.empiricalDistribution(g, smp, WalkState(1, 0, 0), 50_000)
+      TestGraphs.empiricalDistribution(g, smp, TestGraphs.arrived(g, m, 1, 0), 50_000)
       smp.stats.accepts.toDouble / smp.stats.trials
     }
     val a11 = acceptance(1, 1)
