@@ -6,7 +6,7 @@ import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.mllib.feature.Word2VecModel
 import org.apache.spark.rdd.RDD
 
-import repro.sampler.{AliasMethod, AliasTable}
+import repro.sampler.AliasStore
 
 /** The learning phase of the random-walk NRL pipeline: skip-gram with
   * negative sampling (SGNS, Mikolov et al. 2013) over the walk corpus,
@@ -87,7 +87,8 @@ object Word2VecTrainer {
     val vocab = counts.count(_ > 0)
     val startAlpha = math.min(MaxAlpha,
       math.max(BaseAlpha, StepPerNode * vocab / (iterations.toDouble * tokens))).toFloat
-    val negatives = AliasMethod.build(counts.map(c => math.pow(c.toDouble, 0.75)))
+    val negatives = AliasStore(Array(numIds), "word2vec's negatives")
+    negatives.build(0, counts.map(c => math.pow(c.toDouble, 0.75)))
     val rng = new SplittableRandom(seed)
     val syn0 = Array.fill(numIds * dim)((rng.nextDouble().toFloat - 0.5f) / dim)
     val syn1 = new Array[Float](numIds * dim)
@@ -125,7 +126,7 @@ object Word2VecTrainer {
       syn1: Array[Float],
       dim: Int,
       window: Int,
-      negatives: AliasTable,
+      negatives: AliasStore,
       rng: SplittableRandom,
       startAlpha: Float,
       trained: AtomicLong,
@@ -176,7 +177,7 @@ object Word2VecTrainer {
       java.util.Arrays.fill(contextErr, 0, contexts * dim, 0f)
       var d = 0
       while (d <= Negatives) {
-        val target = if (d == 0) word else negatives.draw(rng)
+        val target = if (d == 0) word else negatives.draw(0, rng)
         if (d == 0 || target != word) {
           val label = if (d == 0) 1f else 0f
           val l2 = target * dim

@@ -24,8 +24,10 @@ import repro.graph.{CSRGraph, DatasetConfig}
   *
   * Every assigned state's table is built eagerly in `prepare`, as the
   * reference implementation does (this *is* the huge Ti of the node2vec
-  * baselines in Table VI). The tables travel in the factory broadcast
-  * that every walk task shares, so the budget bounds the whole job.
+  * baselines in Table VI), into one [[AliasStore]] with a table per slot.
+  * The budget pays for the store's offsets first. The store travels in
+  * the factory broadcast that every walk task shares, so the budget
+  * bounds the whole job.
   */
 final class AliasSamplerFactory(val budgetBytes: Long = Long.MaxValue) extends SamplerFactory {
   override def name: String =
@@ -34,42 +36,30 @@ final class AliasSamplerFactory(val budgetBytes: Long = Long.MaxValue) extends S
 
   // assigned(v): node v's states draw from alias tables, not directly.
   private var assigned: Array[Boolean] = _
-  // Shared immutable tables, indexed by `model.slot`; null for a state
-  // of an unassigned node or with no permitted edge.
-  private var tables: Array[AliasTable] = _
-  private var builtBytes = 0L
+  // One table per `model.slot`, empty for a state of an unassigned node
+  // or with no permitted edge; null when the budget assigns no node.
+  private[sampler] var store: AliasStore = _
 
   override def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit = {
     val enabled = new Array[Boolean](g.numNodes)
     val order = Array.tabulate(g.numNodes)(identity).sortBy(v => -g.degree(v))
-    var used = 0L
+    val entryBytes = AliasStore.entryBytes(wide = !IndexArray.charsHold(g))
+    var used = AliasStore.bytes(model.numSlots(g), 0L, wide = false) // the offsets, whichever nodes are assigned
     for (v <- order) {
-      val cost = AliasMethod.tableBytes(g.degree(v)) * model.bucketSize(g, v)
+      val cost = entryBytes * g.degree(v) * model.bucketSize(g, v)
       if (used + cost <= budgetBytes) { enabled(v) = true; used += cost }
     }
-    val built = new Array[AliasTable](model.numSlots(g))
-    SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
-      if (enabled(v)) {
-        var a = 0
-        while (a < model.bucketSize(g, v)) {
-          val s = model.stateFor(g, v, a)
-          built(model.slot(g, s)) = AliasMethod.build(SamplerUtil.dynamicWeights(g, model, s))
-          a += 1
-        }
-      }
-    }
-    // A state with no permitted edge keeps a null table and no bytes.
-    builtBytes = built.iterator.filter(_ != null).map(t => AliasMethod.tableBytes(t.size)).sum
     assigned = enabled
-    tables = built
+    store = if (enabled.contains(true)) AliasSamplerFactory.tables(g, model, enabled, parallel) else null
   }
 
   override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
-    require(tables != null, s"$name: prepare() must run before create()")
-    new AliasSampler(g, model, assigned, tables)
+    require(assigned != null, s"$name: prepare() must run before create()")
+    new AliasSampler(g, model, assigned, store)
   }
 
-  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = builtBytes
+  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
+    if (store == null) 0L else store.bytes
 
   /** A finite budget assigns within whatever memory remains after the graph. */
   override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long = {
@@ -78,16 +68,41 @@ final class AliasSamplerFactory(val budgetBytes: Long = Long.MaxValue) extends S
   }
 }
 
+object AliasSamplerFactory {
+  /** One [[AliasStore]] table per `model.slot`, over the state's dynamic
+    * weights, for every state of the nodes in `assigned`; the other
+    * slots, and states with no permitted edge, get empty tables.
+    */
+  def tables(g: CSRGraph, model: RandomWalkModel, assigned: Array[Boolean], parallel: Boolean): AliasStore = {
+    def forEachState(body: (WalkState, Int) => Unit): Unit =
+      SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
+        if (assigned(v)) for (a <- 0 until model.bucketSize(g, v)) {
+          val s = model.stateFor(g, v, a)
+          body(s, model.slot(g, s))
+        }
+      }
+    val sizes = new Array[Int](model.numSlots(g))
+    forEachState { (s, slot) =>
+      val lo = g.offset(s.cur); val d = g.degree(s.cur)
+      sizes(slot) = if ((lo until lo + d).exists(model.calculateWeight(g, s, _) > 0)) d else 0
+    }
+    val store = AliasStore(sizes, s"alias tables of ${model.name} on a graph of " +
+                                  s"${g.numNodes} nodes and ${g.numDirectedEdges} directed edges")
+    forEachState((s, slot) => if (store.size(slot) > 0) store.build(slot, SamplerUtil.dynamicWeights(g, model, s)))
+    store
+  }
+}
+
 final class AliasSampler(g: CSRGraph, model: RandomWalkModel, assigned: Array[Boolean],
-                         tables: Array[AliasTable]) extends EdgeSampler(g) {
+                         store: AliasStore) extends EdgeSampler(g) {
   override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     if (!assigned(s.cur)) {
       stats.trials += d // O(deg) weight evaluations, as the direct sampler
       return SamplerUtil.directDraw(g, model, s, rng)
     }
     stats.trials += 1
-    val t = tables(model.slot(g, s))
-    if (t == null) -1 // every dynamic weight is 0 under this state
-    else g.offset(s.cur) + t.draw(rng)
+    val i = store.draw(model.slot(g, s), rng)
+    if (i < 0) -1 // every dynamic weight is 0 under this state
+    else g.offset(s.cur) + i
   }
 }

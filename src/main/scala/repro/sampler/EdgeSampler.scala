@@ -75,6 +75,38 @@ trait SamplerFactory extends Serializable {
   def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long
 }
 
+/** `length` indices into adjacency slices or alias tables, in 2-byte
+  * chars, or in 4-byte ints when `wide`: M-H's [[ChainStore]] and the
+  * [[AliasStore]]'s alias indices. Both are narrow while no slice or table
+  * is longer than [[IndexArray.MaxCharDegree]].
+  */
+class IndexArray(val length: Int, wide: Boolean) extends Serializable {
+  protected final val chars: Array[Char] = if (wide) null else new Array[Char](length)
+  protected final val ints: Array[Int] = if (wide) new Array[Int](length) else null
+
+  /** The backing array: an `Array[Char]`, or an `Array[Int]` when wide. */
+  final def array: AnyRef = if (chars != null) chars else ints
+
+  /** Bytes of the backing array's entries. */
+  final def bytes: Long = (if (chars != null) 2L else 4L) * length
+
+  final def apply(x: Int): Int = if (chars != null) chars(x) else ints(x)
+
+  final def update(x: Int, v: Int): Unit = if (chars != null) chars(x) = v.toChar else ints(x) = v
+}
+
+object IndexArray {
+  /** The largest degree whose offsets fit a 2-byte [[ChainStore]] entry
+    * beside its two reserved codes (and so an alias table's indices).
+    */
+  final val MaxCharDegree: Int = Char.MaxValue + 1 - ChainStore.First
+
+  /** True when no size exceeds [[MaxCharDegree]]: 2-byte entries suffice. */
+  def charsHold(sizes: Iterator[Int]): Boolean = sizes.forall(_ <= MaxCharDegree)
+
+  def charsHold(g: CSRGraph): Boolean = charsHold(Iterator.range(0, g.numNodes).map(g.degree))
+}
+
 private[sampler] object SamplerUtil {
 
   /** O(deg) direct draw from the dynamic weights of N(s.cur): the direct

@@ -4,33 +4,30 @@ import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.{CSRGraph, DatasetConfig}
+import repro.model.DeepWalk
 
 /** The static-weight proposal distribution of the rejection-style
-  * samplers: one alias table per node over the *static* edge weights, plus
-  * per-node weight sums. This is exactly the structure whose O(|E|)
-  * footprint makes rejection/KnightKing OOM on Web-UK in the paper (§V-D)
-  * while M-H (uniform proposal, no table) survives.
+  * samplers: one alias table per node over the *static* edge weights (the
+  * alias sampler's deepwalk tables), plus per-node weight sums. This is
+  * exactly the structure whose O(|E|) footprint makes rejection/KnightKing
+  * OOM on Web-UK in the paper (§V-D) while M-H (uniform proposal, no
+  * table) survives.
   */
-final class StaticProposal(
-    val tables: Array[AliasTable],
-    val weightSums: Array[Double],
-) extends Serializable {
-  def bytes(g: CSRGraph): Long = AliasMethod.tableBytes(g.numDirectedEdges) + 8L * g.numNodes
+final class StaticProposal(val tables: AliasStore, val weightSums: Array[Double]) extends Serializable {
+  def bytes: Long = tables.bytes + 8L * weightSums.length
 }
 
 object StaticProposal {
+  /** Static weights are deepwalk's dynamic weights (Eq. 1). */
+  private val StaticWeights = new DeepWalk
+
   def build(g: CSRGraph, parallel: Boolean): StaticProposal = {
-    val tables = new Array[AliasTable](g.numNodes)
     val sums = new Array[Double](g.numNodes)
     SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
-      val d = g.degree(v); val lo = g.offset(v)
-      val w = new Array[Double](d)
-      var j = 0; var s = 0.0
-      while (j < d) { w(j) = g.weight(lo + j).toDouble; s += w(j); j += 1 }
-      tables(v) = AliasMethod.build(w)
-      sums(v) = s
+      var e = g.offset(v)
+      while (e < g.offset(v + 1)) { sums(v) += g.weight(e); e += 1 }
     }
-    new StaticProposal(tables, sums)
+    new StaticProposal(AliasSamplerFactory.tables(g, StaticWeights, Array.fill(g.numNodes)(true), parallel), sums)
   }
 }
 
@@ -59,7 +56,7 @@ object StaticProposal {
   */
 final class KnightKingSamplerFactory(val optimized: Boolean = true) extends SamplerFactory {
   override val name = if (optimized) "knightking" else "rejection"
-  private var proposal: StaticProposal = _
+  private[sampler] var proposal: StaticProposal = _
 
   override def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit =
     proposal = StaticProposal.build(g, parallel)
@@ -70,10 +67,10 @@ final class KnightKingSamplerFactory(val optimized: Boolean = true) extends Samp
   }
 
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
-    if (proposal == null) 0L else proposal.bytes(g)
+    if (proposal == null) 0L else proposal.bytes
 
   override def paperBytes(cfg: DatasetConfig, secondOrder: Boolean, freeBytes: Long): Long =
-    12L * cfg.paperEdges + 8L * cfg.paperNodes
+    AliasStore.bytes(cfg.paperNodes, cfg.paperEdges, wide = true) + 8L * cfg.paperNodes
 }
 
 final class KnightKingSampler(
@@ -88,8 +85,7 @@ final class KnightKingSampler(
 
   override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     val v = s.cur
-    val t = proposal.tables(v)
-    if (t == null) return -1
+    if (proposal.tables.size(v) == 0) return -1
     val lo = g.offset(v)
 
     val outlier = if (optimized) model.outlierEdge(g, s) else -1
@@ -114,7 +110,7 @@ final class KnightKingSampler(
         stats.accepts += 1
         return outlier
       }
-      val e = lo + t.draw(rng)
+      val e = lo + proposal.tables.draw(v, rng)
       // KnightKing draws the uniform before the weight so pre-acceptance
       // can skip it; plain rejection draws it only for a permitted edge.
       var r = if (optimized) rng.nextDouble() else 0.0

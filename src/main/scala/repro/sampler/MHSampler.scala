@@ -40,7 +40,7 @@ final case class BurnInInit(iterations: Int = 100) extends InitStrategy { val na
   *
   * The factory is the paper's sampler manager (§IV-C): it holds one
   * LAST_x [[ChainStore]], 2 bytes per slot (4 when some node's degree
-  * exceeds [[ChainStore.MaxCharDegree]]), and every sampler it creates
+  * exceeds [[IndexArray.MaxCharDegree]]), and every sampler it creates
   * for the same (graph, model) walks the same chains, one per state,
   * Hogwild-style. The paper-scale formula (`paperBytes`) still charges 4
   * bytes per state: the paper's hubs can exceed 16 bits.
@@ -91,30 +91,15 @@ final class MHSamplerFactory(val init: InitStrategy) extends SamplerFactory {
   * [[ChainStore.First]]. [[ChainStore.Uninit]] (0) marks a state no walker
   * has touched, so a fresh store needs no fill, and [[ChainStore.NoEdge]]
   * (1) a state that permits no edge. Entries are 2-byte chars, which hold
-  * every offset of a node of degree up to [[ChainStore.MaxCharDegree]];
+  * every offset of a node of degree up to [[IndexArray.MaxCharDegree]];
   * a graph with a larger degree gets 4-byte ints with the same encoding.
   *
   * Reads and writes are plain element accesses; a state's first touch is
   * a compare-and-exchange through a `VarHandle`, so exactly one thread
   * initializes it.
   */
-final class ChainStore private (val length: Int, wide: Boolean) {
+final class ChainStore private (length: Int, wide: Boolean) extends IndexArray(length, wide) {
   import ChainStore._
-
-  private val chars: Array[Char] = if (wide) null else new Array[Char](length)
-  private val ints: Array[Int] = if (wide) new Array[Int](length) else null
-
-  /** The backing array: an `Array[Char]`, or an `Array[Int]` on a graph
-    * with a node of degree above [[ChainStore.MaxCharDegree]].
-    */
-  def array: AnyRef = if (chars != null) chars else ints
-
-  /** Bytes of the backing array's entries. */
-  def bytes: Long = (if (chars != null) 2L else 4L) * length
-
-  def apply(x: Int): Int = if (chars != null) chars(x) else ints(x)
-
-  def update(x: Int, code: Int): Unit = if (chars != null) chars(x) = code.toChar else ints(x) = code
 
   /** Stores `code` at `x` if `x` is uninitialized. Returns the entry `x`
     * held before: [[ChainStore.Uninit]] when this call initialized it,
@@ -130,17 +115,13 @@ object ChainStore {
   final val NoEdge = 1
   /** The entry of LAST_x = offset 0 of N(cur). */
   final val First = 2
-  /** The largest degree whose every offset fits a 2-byte entry. */
-  final val MaxCharDegree: Int = Char.MaxValue + 1 - First
 
   private val CharEntry = MethodHandles.arrayElementVarHandle(classOf[Array[Char]])
   private val IntEntry = MethodHandles.arrayElementVarHandle(classOf[Array[Int]])
 
   /** A store of `numSlots` uninitialized entries, as wide as `g` needs. */
   def apply(g: CSRGraph, numSlots: Int): ChainStore = {
-    var v = 0
-    while (v < g.numNodes && g.degree(v) <= MaxCharDegree) v += 1
-    new ChainStore(numSlots, wide = v < g.numNodes)
+    new ChainStore(numSlots, wide = !IndexArray.charsHold(g))
   }
 }
 

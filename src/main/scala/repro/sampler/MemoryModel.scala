@@ -12,15 +12,17 @@ import repro.graph.DatasetConfig
   *
   *   graph (CSR, weighted)        : 8 |E|dir + 4 |V| bytes
   *   graph (open-sourced impl)    : 20 |E|dir + 8 |V|
-  *   alias, first-order           : 12 |E|dir                (one table/node)
-  *   alias, second-order          : 12 |E|dir * dbar          (one table/edge)
-  *   rejection / KnightKing       : 12 |E|dir + 8 |V|         (static proposal)
+  *   alias, first-order           : 8 |E|dir + 4 |V|          (one table/node)
+  *   alias, second-order          : 8 |E|dir * dbar + 4 |E|dir (one table/edge)
+  *   rejection / KnightKing       : 8 |E|dir + 12 |V|         (static proposal)
   *   M-H (LAST_x)                 : 4 * #state
   *   memory-aware (budgeted alias): min(free, alias need)     (by construction)
   *   direct                       : 0
   *
   * |E|dir is `DatasetConfig.paperEdges`, the directed adjacency count
-  * = |V| * mean-degree, matching the paper's Table V convention.
+  * = |V| * mean-degree, matching the paper's Table V convention. Alias
+  * tables cost what [[AliasStore]] stores: 8 bytes per entry (an `Int`
+  * alias, since paper-scale hubs exceed 16 bits) and 4 per table.
   *
   * M-H's #state is Table I's, charged 4 bytes each: the program stores a
   * LAST_x entry in 2 bytes only while every degree fits 16 bits (at most
@@ -53,7 +55,8 @@ object MemoryModel {
     */
   def paperAliasBytes(cfg: DatasetConfig, secondOrder: Boolean): Long = {
     val e = cfg.paperEdges
-    if (secondOrder) (12.0 * e * cfg.paperMeanDegree).toLong else 12L * e
+    val entries = if (secondOrder) (e * cfg.paperMeanDegree).toLong else e
+    AliasStore.bytes(paperStates(cfg, secondOrder), entries, wide = true)
   }
 
   /** True when the graph plus `factory`'s sampler on the paper-scale

@@ -1,8 +1,9 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.model.{DeepWalk, Edge2Vec, FairWalk, Node2Vec}
-import repro.sampler.{AliasSamplerFactory, DirectSamplerFactory, HighWeightInit, MHSamplerFactory, RandomInit}
+import repro.model.{DeepWalk, Edge2Vec, FairWalk, MetaPath2Vec, Node2Vec}
+import repro.sampler.{AliasSamplerFactory, AliasStore, DirectSamplerFactory, HighWeightInit,
+                      KnightKingSamplerFactory, MHSamplerFactory, RandomInit}
 
 /** End-to-end statistical correctness: the transition frequencies of the
   * generated walks must match each model's normalized target distribution
@@ -104,6 +105,34 @@ class TransitionDistributionSpec extends SparkSpec {
       val emp = secondStepDist(g, m, new MHSamplerFactory(HighWeightInit()), 1, 0, 60_000, seed)
       val target = TestGraphs.targetDistribution(g, m, TestGraphs.arrived(g, m, 1, 0))
       assert(TestGraphs.l1(emp, target) < 0.06, m.name)
+    }
+  }
+
+  test("node2vec conditional second-step frequencies match Eq. 2 (memory-aware, partial budget)") {
+    val g = TestGraphs.trianglePendant
+    val m = new Node2Vec(0.25, 4.0)
+    // The offsets plus node 0's tables: node 0 (the hub) draws from its
+    // alias tables, the first step out of node 1 directly.
+    val f = new AliasSamplerFactory(AliasStore.bytes(m.numSlots(g), g.degree(0).toLong * m.bucketSize(g, 0), wide = false))
+    val emp = secondStepDist(g, m, f, 1, 0, 60_000, 47L)
+    val target = TestGraphs.targetDistribution(g, m, TestGraphs.arrived(g, m, 1, 0))
+    assert(TestGraphs.l1(emp, target) < 0.05)
+    val smp = f.create(g, m)
+    smp.sample(TestGraphs.arrived(g, m, 1, 0), new java.util.SplittableRandom(1))
+    smp.sample(m.initialState(g, 1), new java.util.SplittableRandom(1))
+    assert(smp.stats.trials == 1 + g.degree(1), "node 0 aliased, node 1 direct")
+  }
+
+  test("metapath2vec first-step frequencies match Eq. 4; a dead end stops the walk (alias, rejection)") {
+    // Metapath 0-1 on typedGraph: node 0 (type 0) steps to its type-1
+    // neighbours 1 and 4; node 2 (type 2) is off the path, so its state
+    // permits no edge and its alias table is empty.
+    val g = TestGraphs.typedGraph
+    val m = new MetaPath2Vec(Array(0, 1))
+    val target = TestGraphs.targetDistribution(g, m, m.initialState(g, 0))
+    for ((f, seed) <- Seq((new AliasSamplerFactory, 53L), (new KnightKingSamplerFactory(optimized = false), 59L))) {
+      assert(TestGraphs.l1(firstStepDist(g, m, f, 0, 40_000, seed), target) < 0.03, f.name)
+      assert(firstStepDist(g, m, f, 2, 1_000, seed).forall(_ == 0.0), f.name)
     }
   }
 

@@ -101,7 +101,7 @@ object WalkCorpusGoldenSpec {
     ("node2vec(0.25,4)", "direct") -> Row(0x6f892e29, 36000, 431729, 0, 0),
     ("node2vec(0.25,4)", "knightking") -> Row(0x63c10eb7, 36000, 77127, 36000, 0),
     ("node2vec(0.25,4)", "rejection") -> Row(0x2a9f3c7f, 36000, 223898, 36000, 0),
-    ("node2vec(0.25,4)", "memory-aware(200kB)") -> Row(0xe792bc87, 36000, 340324, 0, 0),
+    ("node2vec(0.25,4)", "memory-aware(200kB)") -> Row(0xd30473e3, 36000, 282648, 0, 0),
     ("node2vec(0.25,4)", "mh(Rand)") -> Row(0xc13d58bb, 36000, 36000, 20521, 6192),
     ("node2vec(0.25,4)", "mh(Weight)") -> Row(0xc6be0cde, 36000, 36000, 8812, 5141),
     ("node2vec(0.25,4)", "mh(Burn20)") -> Row(0x84924a16, 36000, 36000, 12925, 5757),
@@ -109,7 +109,7 @@ object WalkCorpusGoldenSpec {
     ("node2vec(2,0.5)", "direct") -> Row(0x271835cb, 36000, 437189, 0, 0),
     ("node2vec(2,0.5)", "knightking") -> Row(0x815d6d61, 36000, 41481, 36000, 0),
     ("node2vec(2,0.5)", "rejection") -> Row(0x815d6d61, 36000, 41481, 36000, 0),
-    ("node2vec(2,0.5)", "memory-aware(200kB)") -> Row(0xaa83a6a6, 36000, 348083, 0, 0),
+    ("node2vec(2,0.5)", "memory-aware(200kB)") -> Row(0xa3e99c9a, 36000, 281862, 0, 0),
     ("node2vec(2,0.5)", "mh(Rand)") -> Row(0x9f38f571, 36000, 36000, 28952, 6442),
     ("node2vec(2,0.5)", "mh(Weight)") -> Row(0x0e5a25f2, 36000, 36000, 27304, 6377),
     ("node2vec(2,0.5)", "mh(Burn20)") -> Row(0x136144ad, 36000, 36000, 28627, 6428),
@@ -117,7 +117,7 @@ object WalkCorpusGoldenSpec {
     ("edge2vec(0.25,0.25)", "direct") -> Row(0x1a94caae, 36000, 433348, 0, 0),
     ("edge2vec(0.25,0.25)", "knightking") -> Row(0x3dbc7d6c, 36000, 64342, 36000, 0),
     ("edge2vec(0.25,0.25)", "rejection") -> Row(0x3dbc7d6c, 36000, 64342, 36000, 0),
-    ("edge2vec(0.25,0.25)", "memory-aware(200kB)") -> Row(0x074d988d, 36000, 347298, 0, 0),
+    ("edge2vec(0.25,0.25)", "memory-aware(200kB)") -> Row(0xdb0b1b9c, 36000, 282803, 0, 0),
     ("edge2vec(0.25,0.25)", "mh(Rand)") -> Row(0xdce477b1, 36000, 36000, 27836, 6374),
     ("edge2vec(0.25,0.25)", "mh(Weight)") -> Row(0x9430089c, 36000, 36000, 25062, 6235),
     ("edge2vec(0.25,0.25)", "mh(Burn20)") -> Row(0x4d1e5067, 36000, 36000, 26877, 6358),
@@ -125,7 +125,7 @@ object WalkCorpusGoldenSpec {
     ("fairwalk(0.5,2)", "direct") -> Row(0x970fe758, 36000, 431818, 0, 0),
     ("fairwalk(0.5,2)", "knightking") -> Row(0xf80f38f6, 36000, 456824, 35992, 0),
     ("fairwalk(0.5,2)", "rejection") -> Row(0xf80f38f6, 36000, 456824, 35992, 0),
-    ("fairwalk(0.5,2)", "memory-aware(200kB)") -> Row(0xd071bf8e, 36000, 346386, 0, 0),
+    ("fairwalk(0.5,2)", "memory-aware(200kB)") -> Row(0x5faff5e0, 36000, 281695, 0, 0),
     ("fairwalk(0.5,2)", "mh(Rand)") -> Row(0x27f3a50a, 36000, 36000, 24607, 6317),
     ("fairwalk(0.5,2)", "mh(Weight)") -> Row(0xbc481cec, 36000, 36000, 17940, 5914),
     ("fairwalk(0.5,2)", "mh(Burn20)") -> Row(0xb5f65f2e, 36000, 36000, 22360, 6186),
@@ -133,7 +133,7 @@ object WalkCorpusGoldenSpec {
     ("metapath2vec(0-0-1)", "direct") -> Row(0x88d69b95, 19149, 241723, 0, 0),
     ("metapath2vec(0-0-1)", "knightking") -> Row(0xae7b2393, 19354, 167373, 18289, 0),
     ("metapath2vec(0-0-1)", "rejection") -> Row(0xa2561072, 19185, 168364, 18117, 0),
-    ("metapath2vec(0-0-1)", "memory-aware(200kB)") -> Row(0x7e0b9ac6, 19435, 23503, 0, 0),
+    ("metapath2vec(0-0-1)", "memory-aware(200kB)") -> Row(0xc58fba4c, 19147, 19147, 0, 0),
     ("metapath2vec(0-0-1)", "mh(Rand)") -> Row(0xe3fa3b93, 19303, 18219, 5634, 775),
     ("metapath2vec(0-0-1)", "mh(Weight)") -> Row(0x524cd2c0, 19480, 18427, 5717, 771),
     ("metapath2vec(0-0-1)", "mh(Burn20)") -> Row(0x3af83812, 19555, 18521, 5648, 771),
@@ -141,7 +141,7 @@ object WalkCorpusGoldenSpec {
     ("metapath2vec(0-1-2)", "direct") -> Row(0x83d0226a, 36000, 415376, 0, 0),
     ("metapath2vec(0-1-2)", "knightking") -> Row(0x60fa6503, 36000, 121785, 35999, 0),
     ("metapath2vec(0-1-2)", "rejection") -> Row(0x430c2408, 36000, 122303, 35998, 0),
-    ("metapath2vec(0-1-2)", "memory-aware(200kB)") -> Row(0x0b203b0d, 36000, 46306, 0, 0),
+    ("metapath2vec(0-1-2)", "memory-aware(200kB)") -> Row(0xef91fa2a, 36000, 36000, 0, 0),
     ("metapath2vec(0-1-2)", "mh(Rand)") -> Row(0x2c6ae221, 36000, 36000, 11181, 600),
     ("metapath2vec(0-1-2)", "mh(Weight)") -> Row(0x7b12b797, 36000, 36000, 11092, 600),
     ("metapath2vec(0-1-2)", "mh(Burn20)") -> Row(0x34383573, 36000, 36000, 11054, 600),

@@ -78,9 +78,9 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     val m = new Node2Vec(1, 1)
     val f = new AliasSamplerFactory
     f.prepare(g, m, parallel = false)
-    val expected = (0 until g.numNodes)
-      .map(v => AliasMethod.tableBytes(g.degree(v)) * (g.degree(v) + 1)).sum
-    assert(f.memoryBytes(g, m) == expected)
+    // One table of deg(v) entries per state of v: deg(v) + 1 states.
+    val entries = (0 until g.numNodes).map(v => g.degree(v).toLong * (g.degree(v) + 1)).sum
+    assert(f.memoryBytes(g, m) == AliasStore.bytes(m.numSlots(g), entries, wide = false))
   }
 
   test("precompute alias stops a metapath walk that starts off the path") {
@@ -107,7 +107,8 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
     val sampler = f.create(t, m)
     val rng = new SplittableRandom(5)
     (0 until 10).foreach(_ => assert(sampler.sample(s, rng) == -1))
-    assert(f.memoryBytes(t, m) == AliasMethod.tableBytes(t.degree(1)))
+    // Only node 1's position-1 state stores entries; every slot has its offset.
+    assert(f.memoryBytes(t, m) == AliasStore.bytes(m.numSlots(t), t.degree(1), wide = false))
   }
 
   test("create before prepare fails fast") {
@@ -151,7 +152,8 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
   test("assignment is greedy by degree: partial budgets alias the hubs first") {
     val hub = (0 until mg.numNodes).maxBy(mg.degree)
     val leaf = (0 until mg.numNodes).minBy(mg.degree)
-    val hubCost = AliasMethod.tableBytes(mg.degree(hub)) * mm.bucketSize(mg, hub)
+    // The store's offsets come first, then the hub's tables.
+    val hubCost = AliasStore.bytes(mm.numSlots(mg), mg.degree(hub).toLong * mm.bucketSize(mg, hub), wide = false)
     val (f, smp) = budgeted(hubCost)
     assert(f.memoryBytes(mg, mm) <= hubCost)
     // The hub must be aliased; the cheapest node must not be.
@@ -165,7 +167,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
   }
 
   test("built bytes stay within the budget") {
-    val budget = 8_000L
+    val budget = AliasStore.bytes(mm.numSlots(mg), 0L, wide = false) + 8_000L // the offsets, then 8 kB of tables
     val (f, smp) = budgeted(budget)
     assert(f.memoryBytes(mg, mm) <= budget)
     val rng = new SplittableRandom(4)

@@ -115,6 +115,6 @@ class KnightKingSamplerSpec extends AnyFunSuite {
     val f = new KnightKingSamplerFactory
     val m = new DeepWalk
     f.prepare(g, m, parallel = true)
-    assert(f.memoryBytes(g, m) == AliasMethod.tableBytes(g.numDirectedEdges) + 8L * g.numNodes)
+    assert(f.memoryBytes(g, m) == AliasStore.bytes(g.numNodes, g.numDirectedEdges, wide = false) + 8L * g.numNodes)
   }
 }

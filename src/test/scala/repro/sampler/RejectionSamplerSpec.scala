@@ -85,10 +85,12 @@ class RejectionSamplerSpec extends AnyFunSuite {
     }
   }
 
-  test("memory: static proposal costs 12 bytes per directed edge plus sums") {
+  test("memory: static proposal takes 6 bytes per edge") {
+    // A float and a char alias per directed edge, plus a 4-byte offset and
+    // an 8-byte weight sum per node.
     val m = new DeepWalk
     val (f, _) = sampler(m)
-    assert(f.memoryBytes(g, m) == AliasMethod.tableBytes(g.numDirectedEdges) + 8L * g.numNodes)
+    assert(f.memoryBytes(g, m) == AliasStore.bytes(g.numNodes, g.numDirectedEdges, wide = false) + 8L * g.numNodes)
   }
 
   test("create before prepare fails fast") {
